@@ -1,31 +1,48 @@
-"""Perf: vectorized batch evaluation vs the scalar cost-model loop.
+"""Perf: the cost kernel at both ends of the batch axis.
 
-Times a 512-configuration sweep through ``CostModel.estimate_batch``
-against the per-config scalar reference (``estimate_scalar``), on a
-shuffle-heavy TPC-DS plan.  The batch path precompiles the plan into flat
-operator arrays once (:mod:`repro.sparksim.batch`) and replays the scalar
-arithmetic column-wise, so the guard below checks both sides of the
-contract: the kernel must be >= 10x faster at N=512 *and* numerically
-identical (the sweep would be worthless if vectorization changed the
-science).
+Two arms, both against the per-operator reference loop
+(``tests/sparksim/reference_cost.py``), write the ``batch_kernel`` section
+of ``BENCH_perf.json``:
+
+* **N=512** — a 512-configuration sweep through ``CostModel.estimate_batch``
+  on a shuffle-heavy TPC-DS plan must be >= 10x faster than 512 reference
+  calls.
+* **N=1** — per-call ``CostModel.estimate`` (the path every simulated run
+  takes) must cost <= 1.1x one reference call on tpch_q3 SF10 and
+  tpcds_q23 SF100.
+
+Both arms always assert bitwise equality with the reference.  Set
+``REPRO_BENCH_SMOKE=1`` (CI) to shrink the timing loops and skip the
+speed guards; wall-clock ratios on a loaded shared runner are not
+meaningful.
 """
 
+import gc
 import os
 import time
 
 import numpy as np
 
 from repro.sparksim.batch import clear_plan_arrays_cache, plan_arrays_cache_stats
-from repro.sparksim.configs import query_level_space
+from repro.sparksim.cluster import ExecutorLayout
+from repro.sparksim.configs import full_space, query_level_space
 from repro.sparksim.cost_model import CostModel
 from repro.workloads.tpcds import tpcds_plan
+from repro.workloads.tpch import tpch_plan
+from tests.sparksim.reference_cost import estimate_reference
 
 FULL_MODE = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
+SMOKE_MODE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 N_CONFIGS = 512
 BATCH_REPEATS = 21 if FULL_MODE else 9
 SCALAR_REPEATS = 5 if FULL_MODE else 3
 # The ISSUE-level floor; regressions below this fail the bench run.
 MIN_SPEEDUP = 10.0
+
+# N=1 arm: configs per timed pass, interleaved passes per side (best kept).
+SINGLE_CONFIGS = 16 if SMOKE_MODE else 64
+SINGLE_ROUNDS = 3 if SMOKE_MODE else (60 if FULL_MODE else 30)
+MAX_SINGLE_RATIO = 1.1
 
 
 def _median_seconds(fn, repeats):
@@ -49,7 +66,7 @@ def test_batch_kernel_speedup(perf_results):
 
     def scalar_sweep():
         return np.array([
-            model.estimate_scalar(plan, config).total_seconds
+            estimate_reference(model.params, plan, config).total_seconds
             for config in configs
         ])
 
@@ -68,7 +85,7 @@ def test_batch_kernel_speedup(perf_results):
     )
     cache = plan_arrays_cache_stats()
 
-    perf_results["batch_kernel"] = {
+    perf_results.setdefault("batch_kernel", {}).update({
         "plan": plan.name,
         "n_configs": N_CONFIGS,
         "n_operators": float(len(plan)),
@@ -80,12 +97,85 @@ def test_batch_kernel_speedup(perf_results):
         "plan_cache_hits": cache["hits"],
         "plan_cache_misses": cache["misses"],
         "min_speedup_guard": MIN_SPEEDUP,
-    }
+        "smoke_mode": SMOKE_MODE,
+    })
 
     # Equivalence first: the kernel replays the scalar arithmetic
     # operation-for-operation, so the tolerance is far below 1e-9.
     assert max_rel_err <= 1e-9, f"batch/scalar diverged: {max_rel_err:.3e}"
-    assert speedup >= MIN_SPEEDUP, (
-        f"batch kernel regression: only {speedup:.1f}x at N={N_CONFIGS} "
-        f"(guard {MIN_SPEEDUP:.0f}x)"
-    )
+    if not SMOKE_MODE:
+        assert speedup >= MIN_SPEEDUP, (
+            f"batch kernel regression: only {speedup:.1f}x at N={N_CONFIGS} "
+            f"(guard {MIN_SPEEDUP:.0f}x)"
+        )
+
+
+def _interleaved_best(fns, rounds):
+    """Best-of-``rounds`` seconds per callable, alternating between them so
+    machine-load drift hits every side alike."""
+    best = {name: float("inf") for name in fns}
+    for _ in range(rounds):
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return best
+
+
+def test_single_config_estimate_vs_reference(perf_results):
+    model = CostModel()
+    space = full_space()
+    vectors = space.latin_hypercube(SINGLE_CONFIGS, np.random.default_rng(1))
+    configs = [space.to_dict(v) for v in vectors]
+    # The simulator resolves the layout before estimating; so do both sides.
+    calls = [(config, ExecutorLayout.from_config(config)) for config in configs]
+    arm = {}
+    for name, plan in (
+        ("tpch_q3_sf10", tpch_plan(3, 10.0)),
+        ("tpcds_q23_sf100", tpcds_plan(23, 100.0)),
+    ):
+        def kernel():
+            return [model.estimate(plan, c, layout) for c, layout in calls]
+
+        def reference():
+            return [
+                estimate_reference(model.params, plan, c, layout)
+                for c, layout in calls
+            ]
+
+        exact = all(
+            got.total_seconds == want.total_seconds
+            and got.per_operator == want.per_operator
+            and got.metrics == want.metrics
+            for got, want in zip(kernel(), reference())
+        )
+        gc.collect()
+        gc.freeze()
+        best = _interleaved_best(
+            {"estimate": kernel, "reference": reference}, SINGLE_ROUNDS
+        )
+        gc.unfreeze()
+        arm[name] = {
+            "n_operators": float(len(plan)),
+            "estimate_microseconds": best["estimate"] / len(calls) * 1e6,
+            "reference_microseconds": best["reference"] / len(calls) * 1e6,
+            "ratio": best["estimate"] / best["reference"],
+            "bitwise_equal": exact,
+        }
+
+    perf_results.setdefault("batch_kernel", {})["single_config"] = {
+        "plans": arm,
+        "n_configs": SINGLE_CONFIGS,
+        "rounds": SINGLE_ROUNDS,
+        "max_ratio_guard": MAX_SINGLE_RATIO,
+        "smoke_mode": SMOKE_MODE,
+    }
+
+    for name, row in arm.items():
+        assert row["bitwise_equal"], f"estimate() diverged from the reference on {name}"
+    if not SMOKE_MODE:
+        for name, row in arm.items():
+            assert row["ratio"] <= MAX_SINGLE_RATIO, (
+                f"N=1 estimate regression on {name}: {row['ratio']:.2f}x the "
+                f"reference loop (guard {MAX_SINGLE_RATIO}x)"
+            )

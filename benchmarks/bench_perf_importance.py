@@ -5,9 +5,9 @@ Two guards back the importance subsystem (``repro.core.importance``):
 * **Morris sweep, batched vs. scalar** — the whole OAT + radial-Morris row
   matrix through one ``estimate_batch`` call against the per-row OAT loop
   a sweep without the fused design would write (one ``estimate`` call per
-  row).  Bitwise equality against both that loop and the legacy
-  ``estimate_scalar`` golden reference is asserted always; the batched
-  pass must be >= 20x faster.
+  row).  Bitwise equality against both that loop and the per-operator
+  reference (``tests/sparksim/reference_cost.py``) is asserted always; the
+  batched pass must be >= 20x faster.
 * **Pruning payoff** — the ``ablation_knob_pruning`` acceptance bar: BO in
   the ranking's top-4 subspace reaches the full 8-knob space's
   best-by-step-N cost in strictly fewer steps (median over seeds) on at
@@ -30,6 +30,7 @@ from repro.experiments import ablation_knob_pruning
 from repro.sparksim.configs import full_space
 from repro.sparksim.cost_model import CostModel
 from repro.workloads.tpch import tpch_plan
+from tests.sparksim.reference_cost import estimate_reference
 
 FULL_MODE = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 SMOKE_MODE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
@@ -73,12 +74,11 @@ def test_morris_sweep_batched_vs_scalar_loop(perf_results):
         ])
 
     # Warm both paths and pin exactness: one fused kernel call must price
-    # the whole design bitwise like the per-row loop *and* the legacy
-    # scalar golden reference.
+    # the whole design bitwise like the per-row loop *and* the reference.
     batch_costs = batched()
     scalar_costs = scalar_loop()
     golden = np.array([
-        model.estimate_scalar(plan, space.to_dict(row)).total_seconds
+        estimate_reference(model.params, plan, space.to_dict(row)).total_seconds
         for row in rows
     ])
     exact = bool(

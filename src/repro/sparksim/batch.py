@@ -11,14 +11,13 @@ of N interpreter passes.  Three ingredients live here:
 * :class:`ConfigColumns` — a columnar natural-unit view of a batch of
   configurations, built either from config dicts or from an ``(N, dim)``
   internal-vector array plus its :class:`~repro.core.config_space.ConfigSpace`;
-* :func:`resolve_layouts` — the batch :class:`ExecutorLayout` resolver: app
-  knob columns are deduplicated and each unique combination goes through the
-  exact scalar ``ExecutorLayout.from_config`` behind a small LRU, so
-  repeated configurations pay the resolution once.
+* :func:`resolve_layouts` — the batch :class:`ExecutorLayout` resolver:
+  constant app-knob columns resolve once through the exact
+  ``ExecutorLayout.from_config`` behind a small LRU; varying ones resolve
+  elementwise with the same truncations and pool caps.
 
 Everything here is derived data; the arithmetic that turns it into seconds
-stays in :mod:`repro.sparksim.cost_model` next to the scalar reference
-kernel it mirrors.
+lives in :mod:`repro.sparksim.cost_model`.
 """
 
 from __future__ import annotations
@@ -53,33 +52,36 @@ Column = Union[np.ndarray, float]
 class PlanArrays:
     """Operator-array view of one plan at one data scale.
 
-    All per-operator values are listed in topological (execution) order —
-    the same order :attr:`PhysicalPlan.operators` yields — and carry the
-    data scale already applied, with the exact multiplication order of
-    ``plan.scaled(factor)`` (rows scale first, bytes derive from scaled
-    rows) so batch results are bit-compatible with the scalar path.
+    All per-operator values are float tuples listed in topological
+    (execution) order — the same order :attr:`PhysicalPlan.operators`
+    yields — and carry the data scale already applied, with the exact
+    multiplication order of ``plan.scaled(factor)`` (rows scale first, bytes
+    derive from scaled rows) so every result is bit-compatible with an
+    estimate on the scaled plan.  Tuples of Python floats keep the kernel's
+    per-operator reads cheap; a per-config ``scales`` array broadcasts
+    against them as NumPy operands.
     """
 
     signature: str
     data_scale: float
     op_ids: Tuple[int, ...]
     op_types: Tuple[str, ...]
-    rows_in: np.ndarray          # (n_ops,) scaled estimated input rows
-    rows_out: np.ndarray         # (n_ops,) scaled estimated output rows
-    row_bytes: np.ndarray        # (n_ops,) average row width (scale-invariant)
-    bytes_in: np.ndarray         # (n_ops,) rows_in * row_bytes
-    join_build_bytes: np.ndarray  # (n_ops,) build-side bytes for joins, 0 otherwise
-    join_probe_rows: np.ndarray   # (n_ops,) probe-side rows for joins, 0 otherwise
+    rows_in: Tuple[float, ...]           # scaled estimated input rows
+    rows_out: Tuple[float, ...]          # scaled estimated output rows
+    row_bytes: Tuple[float, ...]         # average row width (scale-invariant)
+    bytes_in: Tuple[float, ...]          # rows_in * row_bytes
+    join_build_bytes: Tuple[float, ...]  # build-side bytes for joins, 0 otherwise
+    join_probe_rows: Tuple[float, ...]   # probe-side rows for joins, 0 otherwise
     total_leaf_cardinality: float
     total_input_bytes: float
     # Join-side components, kept separate so a *per-config* data-scale sweep
-    # can recompute build/probe inputs in the exact scalar multiplication
-    # order ``(rows * scale) * row_bytes`` (see CostModel.estimate_batch's
+    # can recompute build/probe inputs in the exact multiplication order
+    # ``(rows * scale) * row_bytes`` (see CostModel.estimate_batch's
     # ``data_scales``): build-side output rows, build-side row width, and a
-    # degenerate-single-input-join mask.
-    join_build_rows: Optional[np.ndarray] = None
-    join_build_row_bytes: Optional[np.ndarray] = None
-    join_degenerate: Optional[np.ndarray] = None
+    # degenerate-single-input-join flag.
+    join_build_rows: Tuple[float, ...] = ()
+    join_build_row_bytes: Tuple[float, ...] = ()
+    join_degenerate: Tuple[bool, ...] = ()
 
     @property
     def n_ops(self) -> int:
@@ -92,46 +94,40 @@ class PlanArrays:
             raise ValueError("data_scale must be > 0")
         ops = plan.operators
         n = len(ops)
-        rows_in = np.empty(n)
-        rows_out = np.empty(n)
-        row_bytes = np.empty(n)
-        build_bytes = np.zeros(n)
-        probe_rows = np.zeros(n)
-        join_build_rows = np.zeros(n)
-        join_build_row_bytes = np.zeros(n)
-        join_degenerate = np.zeros(n, dtype=bool)
-        op_ids: List[int] = []
-        op_types: List[str] = []
+        rows_in: List[float] = []
+        row_bytes: List[float] = []
+        build_bytes = [0.0] * n
+        probe_rows = [0.0] * n
+        join_build_rows = [0.0] * n
+        join_build_row_bytes = [0.0] * n
+        join_degenerate = [False] * n
         for i, op in enumerate(ops):
-            op_ids.append(op.op_id)
-            op_types.append(op.op_type)
             # Match plan.scaled(): rows scale first, bytes derive from the
-            # scaled rows — this keeps ceil() boundaries identical between
-            # the batch kernel and the scalar path on a scaled plan.
-            rows_in[i] = op.est_rows_in * data_scale
-            rows_out[i] = op.est_rows_out * data_scale
-            row_bytes[i] = op.row_bytes
+            # scaled rows — this keeps ceil() boundaries identical to an
+            # estimate on a scaled plan.
+            rows_in.append(float(op.est_rows_in * data_scale))
+            row_bytes.append(float(op.row_bytes))
             if op.op_type == OpType.JOIN:
                 children = [plan.operator(c) for c in op.children]
                 if len(children) >= 2:
                     # Build/probe selection is invariant under uniform
-                    # scaling (sorted() is stable on ties), so resolving it
-                    # here once matches the scalar per-call resolution.
+                    # scaling (sorted() is stable on ties), so it is
+                    # resolved here once.
                     sides = sorted(
                         children, key=lambda c: (c.est_rows_out * data_scale) * c.row_bytes
                     )
                     build, probe = sides[0], sides[-1]
-                    build_bytes[i] = (build.est_rows_out * data_scale) * build.row_bytes
-                    probe_rows[i] = probe.est_rows_out * data_scale
-                    join_build_rows[i] = build.est_rows_out * data_scale
-                    join_build_row_bytes[i] = build.row_bytes
+                    build_bytes[i] = float((build.est_rows_out * data_scale) * build.row_bytes)
+                    probe_rows[i] = float(probe.est_rows_out * data_scale)
+                    join_build_rows[i] = float(build.est_rows_out * data_scale)
+                    join_build_row_bytes[i] = float(build.row_bytes)
                 else:
                     # Self-join / degenerate single-input join: split the input.
-                    build_bytes[i] = (rows_in[i] * op.row_bytes) * 0.2
+                    build_bytes[i] = (rows_in[i] * row_bytes[i]) * 0.2
                     probe_rows[i] = rows_in[i] * 0.8
                     join_degenerate[i] = True
         # Leaf sums in the same node order the plan properties use, so the
-        # reported metrics match the scalar path exactly.
+        # reported metrics match plan.scaled(data_scale) exactly.
         leaf_rows = 0.0
         leaf_bytes = 0.0
         for leaf in plan.leaves:
@@ -141,19 +137,19 @@ class PlanArrays:
         return cls(
             signature=plan.signature(),
             data_scale=float(data_scale),
-            op_ids=tuple(op_ids),
-            op_types=tuple(op_types),
-            rows_in=rows_in,
-            rows_out=rows_out,
-            row_bytes=row_bytes,
-            bytes_in=rows_in * row_bytes,
-            join_build_bytes=build_bytes,
-            join_probe_rows=probe_rows,
+            op_ids=tuple(op.op_id for op in ops),
+            op_types=tuple(op.op_type for op in ops),
+            rows_in=tuple(rows_in),
+            rows_out=tuple(float(op.est_rows_out * data_scale) for op in ops),
+            row_bytes=tuple(row_bytes),
+            bytes_in=tuple(r * b for r, b in zip(rows_in, row_bytes)),
+            join_build_bytes=tuple(build_bytes),
+            join_probe_rows=tuple(probe_rows),
             total_leaf_cardinality=leaf_rows,
             total_input_bytes=leaf_bytes,
-            join_build_rows=join_build_rows,
-            join_build_row_bytes=join_build_row_bytes,
-            join_degenerate=join_degenerate,
+            join_build_rows=tuple(join_build_rows),
+            join_build_row_bytes=tuple(join_build_row_bytes),
+            join_degenerate=tuple(join_degenerate),
         )
 
 
@@ -295,8 +291,8 @@ class ConfigColumns:
                 self._matrix[:, j] if j is not None else float(default)
             )
         elif self.n == 1:
-            # Single-config batches (the scalar estimate() wrapper) stay on
-            # NumPy's scalar fast path — no (1,) broadcasting machinery.
+            # Single-config batches (every estimate() call) get Python
+            # floats, which put the kernel on its float path.
             column = float(self._dicts[0].get(name, default))
         elif any(name in c for c in self._dicts):
             column = np.fromiter(
@@ -321,10 +317,10 @@ class ConfigColumns:
 
     def factor(self, name: str, default: str, table: Mapping[str, float]) -> Column:
         """Per-config multiplier for a categorical knob via a factor table."""
+        if self._dicts is not None and self.n == 1:
+            return float(table.get(str(self._dicts[0].get(name, default)), 1.0))
         if self._dicts is None or not any(name in c for c in self._dicts):
             return float(table.get(default, 1.0))
-        if self.n == 1:
-            return float(table.get(str(self._dicts[0].get(name, default)), 1.0))
         return np.fromiter(
             (table.get(str(c.get(name, default)), 1.0) for c in self._dicts),
             dtype=float,
@@ -349,7 +345,7 @@ def _layout_for(
     pool: Pool, instances: float, cores: float, memory: float,
     offheap_enabled: float, offheap_size: float,
 ) -> ExecutorLayout:
-    """LRU-cached scalar layout resolution for one unique app-knob tuple."""
+    """LRU-cached layout resolution for one app-knob tuple."""
     return ExecutorLayout.from_config(
         {
             "spark.executor.instances": instances,
@@ -367,13 +363,15 @@ class LayoutArrays:
     """Per-config executor-layout columns (scalars when uniform)."""
 
     executors: Column
-    total_cores: Column            # clamped to >= 1, as the scalar kernels do
+    total_cores: Column            # clamped to >= 1, as the cost kernel needs
     memory_gb_per_executor: Column
     memory_gb_per_core: Column
     offheap_positive: Union[np.ndarray, bool]
 
     @classmethod
+    @functools.lru_cache(maxsize=256)
     def from_layout(cls, layout: ExecutorLayout) -> "LayoutArrays":
+        """Uniform columns for one layout (cached: both types are frozen)."""
         return cls(
             executors=float(layout.executors),
             total_cores=float(max(layout.total_cores, 1)),
@@ -383,43 +381,44 @@ class LayoutArrays:
         )
 
     @classmethod
-    def from_layouts(cls, layouts: Sequence[ExecutorLayout]) -> "LayoutArrays":
+    def from_app_columns(
+        cls, pool: Pool, instances: np.ndarray, cores: np.ndarray,
+        memory: np.ndarray, offheap_enabled: np.ndarray, offheap_size: np.ndarray,
+    ) -> "LayoutArrays":
+        """``ExecutorLayout.from_config`` applied elementwise to app-knob
+        columns: the same truncations, pool caps and operation order, so
+        row *i* is bitwise the scalar layout of config *i*."""
+        node = pool.node_type
+        executors = np.trunc(instances).astype(np.int64)
+        cores = np.trunc(cores).astype(np.int64)
+        per_node = np.maximum(1, np.minimum(node.cores // np.maximum(cores, 1), 8))
+        executors = np.maximum(1, np.minimum(executors, per_node * pool.max_nodes))
+        cores = np.maximum(1, np.minimum(cores, node.cores))
+        memory = np.maximum(1.0, np.minimum(memory, node.memory_gb))
+        offheap = np.maximum(0.0, np.where(offheap_enabled >= 0.5, offheap_size, 0.0))
         return cls(
-            executors=np.array([float(l.executors) for l in layouts]),
-            total_cores=np.array([float(max(l.total_cores, 1)) for l in layouts]),
-            memory_gb_per_executor=np.array(
-                [l.memory_gb_per_executor for l in layouts]
-            ),
-            memory_gb_per_core=np.array([l.memory_gb_per_core for l in layouts]),
-            offheap_positive=np.array(
-                [l.offheap_gb_per_executor > 0 for l in layouts]
-            ),
+            executors=executors.astype(float),
+            total_cores=np.maximum(executors * cores, 1).astype(float),
+            memory_gb_per_executor=memory,
+            memory_gb_per_core=(memory + offheap) / cores,
+            offheap_positive=offheap > 0,
         )
 
 
 def resolve_layouts(cols: ConfigColumns, pool: Optional[Pool] = None) -> LayoutArrays:
-    """Resolve one :class:`ExecutorLayout` per configuration, deduplicated.
+    """Resolve one :class:`ExecutorLayout` per configuration.
 
-    Unique app-knob rows go through the exact scalar
-    ``ExecutorLayout.from_config`` (behind :func:`_layout_for`'s LRU), then
-    gather back to per-config columns.  Batches that never touch app knobs
-    — every query-level sweep — collapse to one shared layout.
+    Batches whose app-knob columns are constant — every query-level sweep —
+    collapse to one shared layout through the exact scalar
+    ``ExecutorLayout.from_config`` (behind :func:`_layout_for`'s LRU);
+    varying columns resolve elementwise in
+    :meth:`LayoutArrays.from_app_columns`.
     """
     pool = pool or default_pool()
     columns = [cols.numeric(name, default) for name, default in _APP_KNOBS]
     if all(not isinstance(c, np.ndarray) for c in columns):
         return LayoutArrays.from_layout(_layout_for(pool, *columns))
     stacked = np.column_stack([np.broadcast_to(c, cols.n) for c in columns])
-    unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    layouts = [_layout_for(pool, *row) for row in unique]
-    if len(layouts) == 1:
-        return LayoutArrays.from_layout(layouts[0])
-    per_unique = LayoutArrays.from_layouts(layouts)
-    inverse = inverse.reshape(-1)
-    return LayoutArrays(
-        executors=per_unique.executors[inverse],
-        total_cores=per_unique.total_cores[inverse],
-        memory_gb_per_executor=per_unique.memory_gb_per_executor[inverse],
-        memory_gb_per_core=per_unique.memory_gb_per_core[inverse],
-        offheap_positive=per_unique.offheap_positive[inverse],
-    )
+    if (stacked == stacked[0]).all():
+        return LayoutArrays.from_layout(_layout_for(pool, *stacked[0].tolist()))
+    return LayoutArrays.from_app_columns(pool, *stacked.T)

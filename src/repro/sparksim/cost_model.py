@@ -20,17 +20,18 @@ exactly the structure the Centroid Learning algorithm assumes locally.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .. import telemetry
-from .batch import ConfigColumns, LayoutArrays, plan_arrays, resolve_layouts
+from .batch import Column, ConfigColumns, LayoutArrays, plan_arrays, resolve_layouts
 from .cluster import ExecutorLayout, GIB, Pool
-from .overlay import StageConfigOverlay, StageOverride
-from .plan import Operator, OpType, PhysicalPlan
+from .overlay import StageConfigOverlay
+from .plan import OpType, PhysicalPlan
 
 __all__ = ["CostParameters", "CostBreakdown", "BatchCostBreakdown", "CostModel"]
 
@@ -91,9 +92,9 @@ class BatchCostBreakdown:
     """Vectorized cost breakdown: one plan evaluated under N configurations.
 
     ``metric_values[key][i]`` holds config *i*'s accumulated value for
-    ``key``; ``metric_masks[key][i]`` says whether the scalar path would
-    have emitted that key at all for config *i* (the broadcast/sort-merge
-    branch changes which join metrics exist row by row).
+    ``key``; ``metric_masks[key][i]`` says whether :meth:`CostModel.estimate`
+    emits that key at all for config *i* (the broadcast/sort-merge branch
+    changes which join metrics exist row by row).
     """
 
     total_seconds: np.ndarray                 # (N,)
@@ -107,18 +108,22 @@ class BatchCostBreakdown:
     def n(self) -> int:
         return int(self.total_seconds.shape[0])
 
-    def breakdown_at(self, i: int) -> CostBreakdown:
-        """Config *i*'s result as the scalar :class:`CostBreakdown` shape."""
+    def metrics_at(self, i: int) -> Dict[str, float]:
+        """Config *i*'s metrics dict, as :meth:`CostModel.estimate` reports it."""
         metrics: Dict[str, float] = {}
         for key, values in self.metric_values.items():
             if self.metric_masks[key][i]:
                 metrics[key] = float(values[i])
         metrics["input_bytes"] = self.input_bytes
         metrics["input_rows"] = self.input_rows
+        return metrics
+
+    def breakdown_at(self, i: int) -> CostBreakdown:
+        """Config *i*'s result as the single-config :class:`CostBreakdown`."""
         return CostBreakdown(
             total_seconds=float(self.total_seconds[i]),
             per_operator={op: float(costs[i]) for op, costs in self.per_operator.items()},
-            metrics=metrics,
+            metrics=self.metrics_at(i),
         )
 
 
@@ -127,149 +132,6 @@ class CostModel:
 
     def __init__(self, params: Optional[CostParameters] = None):
         self.params = params or CostParameters()
-
-    # -- primitive cost kernels ---------------------------------------------------
-
-    def _wave_time(self, n_tasks: float, per_task_s: float, total_cores: int) -> float:
-        """Tasks execute in waves of ``total_cores``; time = waves × task time."""
-        waves = math.ceil(max(n_tasks, 1.0) / max(total_cores, 1))
-        return waves * per_task_s
-
-    def _scan_cost(
-        self, op: Operator, config: Mapping[str, float], layout: ExecutorLayout,
-        override: Optional[StageOverride] = None,
-    ) -> Tuple[float, Dict[str, float]]:
-        bytes_total = op.bytes_in
-        if override is not None and override.max_partition_bytes is not None:
-            max_part = float(override.max_partition_bytes)
-        else:
-            max_part = float(config.get("spark.sql.files.maxPartitionBytes", 128 * 1024 * 1024))
-        cores = layout.total_cores
-        if override is not None and override.task_parallelism is not None:
-            cores = min(cores, max(int(override.task_parallelism), 1))
-        n_parts = max(1.0, math.ceil(bytes_total / max(max_part, 1.0)))
-        per_task_bytes = bytes_total / n_parts
-        per_task_s = (
-            per_task_bytes / (self.params.scan_throughput_mb_s * 1e6)
-            + self.params.task_overhead_s
-        )
-        time = self._wave_time(n_parts, per_task_s, cores)
-        time += n_parts * self.params.scheduling_overhead_s
-        return time, {"scan_tasks": n_parts, "scan_bytes": bytes_total}
-
-    def _shuffle_cost(
-        self, rows: float, row_bytes: float, config: Mapping[str, float],
-        layout: ExecutorLayout, override: Optional[StageOverride] = None,
-    ) -> Tuple[float, Dict[str, float]]:
-        data_bytes = rows * row_bytes
-        if override is not None and override.shuffle_partitions is not None:
-            partitions = max(1.0, float(override.shuffle_partitions))
-        else:
-            partitions = max(1.0, float(config.get("spark.sql.shuffle.partitions", 200)))
-        throughput = self.params.shuffle_throughput_mb_s * 1e6
-        if layout.offheap_gb_per_executor > 0:
-            throughput /= self.params.offheap_shuffle_discount  # faster with off-heap
-        codec = str(config.get("spark.io.compression.codec", "lz4"))
-        throughput *= _CODEC_SHUFFLE_FACTOR.get(codec, 1.0)
-        throughput /= _CODEC_CPU_TAX.get(codec, 1.0)
-
-        cores = layout.total_cores
-        if override is not None and override.task_parallelism is not None:
-            cores = min(cores, max(int(override.task_parallelism), 1))
-
-        # Map side: write all data once, fully parallel.
-        write_s = data_bytes / (throughput * cores)
-
-        # Reduce side: the slowest task governs each wave.  Skewed keys make
-        # the hottest partition larger; more partitions dilute the skew.
-        per_task_bytes = data_bytes / partitions
-        straggler = 1.0 + self.params.skew_coefficient * math.sqrt(
-            self.params.skew_reference_partitions / partitions
-        )
-        hot_task_bytes = per_task_bytes * straggler
-
-        # Memory spill: reducers that exceed their memory share hit disk.
-        fraction = self.params.executor_memory_fraction
-        if override is not None and override.memory_fraction is not None:
-            fraction = float(override.memory_fraction)
-        mem_budget = layout.memory_gb_per_core * GIB * fraction
-        spill = 0.0
-        if hot_task_bytes > mem_budget:
-            overflow = hot_task_bytes / mem_budget - 1.0
-            spill = min(self.params.spill_coefficient * overflow, 8.0)
-        per_task_s = (hot_task_bytes / throughput) * (1.0 + spill) + self.params.task_overhead_s
-        read_s = self._wave_time(partitions, per_task_s, cores)
-        sched_s = partitions * self.params.scheduling_overhead_s
-        total = write_s + read_s + sched_s
-        return total, {
-            "shuffle_bytes": data_bytes,
-            "shuffle_partitions": partitions,
-            "spilled": 1.0 if spill > 0 else 0.0,
-        }
-
-    def _cpu_cost(
-        self, rows: float, layout: ExecutorLayout, factor: float = 1.0,
-        config: Optional[Mapping[str, float]] = None,
-    ) -> float:
-        rate = self.params.cpu_rows_per_s
-        if config is not None:
-            serializer = str(config.get("spark.serializer", "java"))
-            rate *= _SERIALIZER_CPU_FACTOR.get(serializer, 1.0)
-        return factor * rows / (rate * max(layout.total_cores, 1))
-
-    def _join_cost(
-        self, op: Operator, plan: PhysicalPlan, config: Mapping[str, float],
-        layout: ExecutorLayout, override: Optional[StageOverride] = None,
-    ) -> Tuple[float, Dict[str, float]]:
-        children = [plan.operator(c) for c in op.children]
-        if len(children) >= 2:
-            sides = sorted(children, key=lambda c: c.bytes_out)
-            build, probe = sides[0], sides[-1]
-            build_bytes, probe_rows = build.bytes_out, probe.est_rows_out
-        else:
-            # Self-join / degenerate single-input join: split the input.
-            build_bytes = op.bytes_in * 0.2
-            probe_rows = op.est_rows_in * 0.8
-
-        threshold = float(
-            config.get("spark.sql.autoBroadcastJoinThreshold", 10 * 1024 * 1024)
-        )
-        metrics: Dict[str, float] = {}
-        if build_bytes <= threshold:
-            # Broadcast hash join: ship the build side to every executor.
-            broadcast_s = (
-                build_bytes * layout.executors
-                / (self.params.network_throughput_mb_s * 1e6)
-            )
-            hash_build_s = self._cpu_cost(build_bytes / max(op.row_bytes, 1.0), layout, 2.0, config)
-            probe_s = self._cpu_cost(probe_rows, layout, 1.5, config)
-            time = broadcast_s + hash_build_s + probe_s
-            # Memory pressure when a large build side is broadcast anyway.
-            mem_budget = (
-                layout.memory_gb_per_executor * GIB
-                * self.params.broadcast_memory_fraction
-            )
-            if build_bytes > mem_budget:
-                pressure = build_bytes / mem_budget
-                time *= 1.0 + min(pressure * pressure, 25.0)
-                metrics["broadcast_memory_pressure"] = pressure
-            metrics["broadcast_joins"] = 1.0
-        else:
-            # Sort-merge join: shuffle both sides on the join key, then merge.
-            # Stage overrides scope to the shuffle terms; the broadcast
-            # branch above has no per-stage knob in the catalog this models.
-            shuffle_s, shuffle_m = self._shuffle_cost(
-                op.est_rows_in, op.row_bytes, config, layout, override
-            )
-            n = max(op.est_rows_in, 2.0)
-            sort_s = self._cpu_cost(n * math.log2(n) / 20.0, layout, 1.0, config)
-            merge_s = self._cpu_cost(op.est_rows_in, layout, 1.2, config)
-            time = shuffle_s + sort_s + merge_s
-            metrics.update(shuffle_m)
-            metrics["sort_merge_joins"] = 1.0
-        return time, metrics
-
-    # -- plan-level estimate ---------------------------------------------------------
 
     def estimate(
         self,
@@ -280,70 +142,19 @@ class CostModel:
     ) -> CostBreakdown:
         """Noiseless execution-time estimate for ``plan`` under ``config``.
 
-        Thin wrapper over :meth:`estimate_batch` on a 1-row batch; results
-        are bit-identical to :meth:`estimate_scalar`, the legacy
-        per-operator loop kept as the golden reference.  ``overlay``
-        applies per-stage knob overrides (see ``repro.sparksim.overlay``).
+        A 1-row pass of the batch kernel: every column of a single config is
+        a Python float, so the kernel runs its float path and the result is
+        assembled here without any array round trip.  ``overlay`` applies
+        per-stage knob overrides (see ``repro.sparksim.overlay``).
         """
-        batch = self.estimate_batch(
-            plan, [config], layout=layout, overlay=overlay, breakdown=True
+        arrays, (total, per_op, values, masks) = self._evaluate(
+            plan, ConfigColumns(1, dicts=(config,)), layout, None, 1.0, None,
+            overlay, True,
         )
-        return batch.breakdown_at(0)
-
-    def estimate_scalar(
-        self,
-        plan: PhysicalPlan,
-        config: Mapping[str, float],
-        layout: Optional[ExecutorLayout] = None,
-        overlay: Optional[StageConfigOverlay] = None,
-    ) -> CostBreakdown:
-        """Reference implementation: the original scalar per-operator loop.
-
-        Kept verbatim as the golden baseline the vectorized kernel is pinned
-        against (tests/sparksim/test_batch.py) and as the bench's scalar
-        comparator; production callers go through :meth:`estimate` /
-        :meth:`estimate_batch`.
-        """
-        layout = layout or ExecutorLayout.from_config(config)
-        per_op: Dict[int, float] = {}
-        metrics: Dict[str, float] = {"tasks": 0.0}
-        for op in plan.operators:
-            ov = overlay.get(op.op_id) if overlay is not None else None
-            if op.op_type == OpType.TABLE_SCAN:
-                cost, m = self._scan_cost(op, config, layout, ov)
-                metrics["tasks"] += m.get("scan_tasks", 0.0)
-            elif op.op_type == OpType.EXCHANGE:
-                cost, m = self._shuffle_cost(op.est_rows_in, op.row_bytes, config, layout, ov)
-                metrics["tasks"] += m.get("shuffle_partitions", 0.0)
-            elif op.op_type == OpType.JOIN:
-                cost, m = self._join_cost(op, plan, config, layout, ov)
-                metrics["tasks"] += m.get("shuffle_partitions", 0.0)
-            elif op.op_type == OpType.HASH_AGGREGATE:
-                shuffle_s, m = self._shuffle_cost(
-                    op.est_rows_in * 0.5, op.row_bytes, config, layout, ov
-                )
-                cost = shuffle_s + self._cpu_cost(op.est_rows_in, layout, 1.3, config)
-                metrics["tasks"] += m.get("shuffle_partitions", 0.0)
-            elif op.op_type in (OpType.SORT, OpType.WINDOW):
-                shuffle_s, m = self._shuffle_cost(op.est_rows_in, op.row_bytes, config, layout, ov)
-                n = max(op.est_rows_in, 2.0)
-                factor = 1.5 if op.op_type == OpType.WINDOW else 1.0
-                cost = shuffle_s + self._cpu_cost(n * math.log2(n) / 25.0, layout, factor, config)
-                metrics["tasks"] += m.get("shuffle_partitions", 0.0)
-            else:  # Filter, Project, Union, Limit — narrow transforms
-                cost = self._cpu_cost(op.est_rows_in, layout, 0.5, config)
-                m = {}
-            per_op[op.op_id] = cost
-            for key, value in m.items():
-                if key not in ("scan_tasks", "shuffle_partitions"):
-                    metrics[key] = metrics.get(key, 0.0) + value
-
-        total = sum(per_op.values()) + self.params.fixed_query_overhead_s
-        metrics["input_bytes"] = plan.total_input_bytes
-        metrics["input_rows"] = plan.total_leaf_cardinality
+        metrics = {key: value for key, value in values.items() if masks[key]}
+        metrics["input_bytes"] = arrays.total_input_bytes
+        metrics["input_rows"] = arrays.total_leaf_cardinality
         return CostBreakdown(total_seconds=total, per_operator=per_op, metrics=metrics)
-
-    # -- vectorized batch estimate ----------------------------------------------------
 
     def estimate_batch(
         self,
@@ -363,29 +174,27 @@ class CostModel:
         ``configs`` may be a sequence of config dicts, an ``(N, dim)`` array
         of internal vectors (then ``space`` is required), or a prebuilt
         :class:`ConfigColumns`.  Returns ``(N,)`` seconds, or the full
-        :class:`BatchCostBreakdown` when ``breakdown=True``.  Every value is
-        bit-identical to N calls of :meth:`estimate_scalar` — the kernel
-        replays the scalar arithmetic operation-for-operation on arrays.
+        :class:`BatchCostBreakdown` when ``breakdown=True``.  Row *i* is
+        bit-identical to :meth:`estimate` on configuration *i*.
 
         ``data_scales`` gives every configuration its *own* input scale (an
         ``(N,)`` array): row counts scale per element in the exact
         multiplication order of ``plan.scaled(s)``, so element *i* is
-        bit-identical to a scalar estimate on ``plan.scaled(data_scales[i])``.
+        bit-identical to an estimate on ``plan.scaled(data_scales[i])``.
         This is what lets the lock-step engine evaluate K sessions with
         heterogeneous data-size drift in one kernel pass.  Mutually
         exclusive with a non-unit ``data_scale`` and with ``breakdown``.
 
         ``overlay`` applies the same per-stage knob overrides to every row
-        (see ``repro.sparksim.overlay``); results stay bit-identical to N
-        calls of ``estimate_scalar(..., overlay=overlay)``.
+        (see ``repro.sparksim.overlay``).
         """
-        started = time.perf_counter() if telemetry.enabled() else None
         cols = ConfigColumns.coerce(configs, space)
+        n = cols.n
         if data_scales is not None:
             data_scales = np.asarray(data_scales, dtype=float)
-            if data_scales.shape != (cols.n,):
+            if data_scales.shape != (n,):
                 raise ValueError(
-                    f"data_scales must have shape ({cols.n},), got {data_scales.shape}"
+                    f"data_scales must have shape ({n},), got {data_scales.shape}"
                 )
             if np.any(data_scales <= 0):
                 raise ValueError("data_scales must be > 0")
@@ -395,36 +204,69 @@ class CostModel:
                 raise ValueError("breakdown is not supported with data_scales")
             if np.all(data_scales == 1.0):
                 data_scales = None  # uniform unit scales: plain fast path
+        arrays, (total, per_op, values, masks) = self._evaluate(
+            plan, cols, layout, pool, data_scale, data_scales, overlay, breakdown
+        )
+        if not breakdown:
+            return _column(total, n)
+        return BatchCostBreakdown(
+            total_seconds=_column(total, n),
+            per_operator={op: _column(cost, n) for op, cost in per_op.items()},
+            metric_values={key: _column(v, n) for key, v in values.items()},
+            metric_masks={key: _column(m, n) for key, m in masks.items()},
+            input_bytes=arrays.total_input_bytes,
+            input_rows=arrays.total_leaf_cardinality,
+        )
+
+    def _evaluate(
+        self, plan, cols: ConfigColumns, layout: Optional[ExecutorLayout],
+        pool: Optional[Pool], data_scale: float, scales: Optional[np.ndarray],
+        overlay: Optional[StageConfigOverlay], want_breakdown: bool,
+    ):
+        """Resolve plan arrays and layouts, run the kernel, record telemetry.
+
+        Returns ``(plan arrays, kernel result)``; one
+        ``sparksim.batch_estimates`` count per call, whatever the batch size.
+        """
+        started = time.perf_counter() if telemetry.enabled() else None
         arrays = plan_arrays(plan, data_scale)
         if layout is not None:
             layouts = LayoutArrays.from_layout(layout)
         else:
             layouts = resolve_layouts(cols, pool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = self._batch_kernel(arrays, cols, layouts, breakdown,
-                                        scales=data_scales, overlay=overlay)
+        result = self._batch_kernel(arrays, cols, layouts, want_breakdown,
+                                    scales=scales, overlay=overlay)
         if started is not None:
             telemetry.counter("sparksim.batch_estimates").inc()
             telemetry.counter("sparksim.batch_configs").inc(cols.n)
             telemetry.histogram("sparksim.batch_kernel_seconds").observe(
                 time.perf_counter() - started
             )
-        return result if breakdown else result.total_seconds
+        return arrays, result
 
     def _batch_kernel(
         self, arrays, cols: ConfigColumns, layouts: LayoutArrays,
         want_breakdown: bool, scales: Optional[np.ndarray] = None,
         overlay: Optional[StageConfigOverlay] = None,
-    ) -> BatchCostBreakdown:
-        """The vectorized analogue of :meth:`estimate_scalar`.
+    ):
+        """The cost model: per-operator costs for N configurations.
 
-        Per-operator costs stay a short Python loop (plans have ~10 nodes);
-        the N-config axis is pure NumPy.  Arithmetic mirrors the scalar
-        kernels term for term — same association, same evaluation order —
-        so results match bitwise, not just to tolerance.  When
-        ``want_breakdown`` is false only ``total_seconds`` is populated —
-        per-operator and metric accumulation (pure bookkeeping, no effect
-        on totals) is skipped.
+        Returns ``(total, per_operator, metric_values, metric_masks)``.  Each
+        value is an ``(N,)`` array where the batch varies and a plain Python
+        float (or bool, for masks) where it does not; callers broadcast at
+        the end.  ``metric_masks[key]`` says whether a row emits ``key`` at
+        all (the broadcast/sort-merge branch changes which join metrics
+        exist row by row).  When ``want_breakdown`` is false only ``total``
+        is computed — per-operator and metric bookkeeping has no effect on
+        totals.
+
+        Per-operator costs stay a short Python loop (plans have ~10 nodes)
+        over float tuples precompiled in :class:`PlanArrays`.  When every
+        config and layout column is a Python float and there are no
+        per-config ``scales`` (every 1-row call), the loop runs entirely on
+        floats through the ``math``/builtin equivalents of the ufuncs; they
+        perform the same IEEE operations in the same order, so both paths
+        agree bitwise.
 
         With per-config ``scales`` (an ``(N,)`` array; ``arrays`` must then
         be compiled at scale 1.0) row counts become per-config arrays.  The
@@ -434,7 +276,6 @@ class CostModel:
         the bitwise contract.
         """
         p = self.params
-        n = cols.n
         cores = layouts.total_cores                       # already max(·, 1)
         executors = layouts.executors
 
@@ -452,33 +293,30 @@ class CostModel:
         codec_tax = cols.factor("spark.io.compression.codec", "lz4", _CODEC_CPU_TAX)
         ser_factor = cols.factor("spark.serializer", "java", _SERIALIZER_CPU_FACTOR)
 
-        # When every operand is a uniform scalar (N=1, or a batch that never
-        # varies the relevant knobs) the math/builtin equivalents produce the
-        # same IEEE values as the ufuncs without per-call dispatch overhead —
-        # this keeps the 1-row estimate() wrapper close to the old scalar
-        # loop's speed.  Selection only; the formulas below are shared.
-        uniform = scales is None and not any(
-            isinstance(c, np.ndarray)
-            for c in (
-                max_part_col, partitions_col, threshold, codec_shuffle,
-                codec_tax, ser_factor, cores, executors,
-                layouts.memory_gb_per_executor, layouts.memory_gb_per_core,
-                layouts.offheap_positive,
-            )
-        )
+        # The float path: when every operand is a uniform scalar (N=1, or a
+        # batch that never varies the relevant knobs) the math/builtin
+        # equivalents produce the same IEEE values as the ufuncs without
+        # per-call dispatch overhead.  Selection only; the formulas and the
+        # bookkeeping below are shared.
+        uniform = scales is None and np.ndarray not in map(type, (
+            max_part_col, partitions_col, threshold, codec_shuffle,
+            codec_tax, ser_factor, cores, executors,
+            layouts.memory_gb_per_executor, layouts.memory_gb_per_core,
+            layouts.offheap_positive,
+        ))
         if uniform:
-            ceil_, sqrt_ = math.ceil, math.sqrt
-            maximum_, minimum_ = lambda a, b: max(a, b), lambda a, b: min(a, b)
-            where_ = lambda c, a, b: a if c else b
+            ceil_, sqrt_, maximum_, minimum_ = math.ceil, math.sqrt, max, min
+            where_, not_ = _select, operator.not_
         else:
             ceil_, sqrt_ = np.ceil, np.sqrt
-            maximum_, minimum_, where_ = np.maximum, np.minimum, np.where
+            maximum_, minimum_ = np.maximum, np.minimum
+            where_, not_ = np.where, np.logical_not
 
         max_part = maximum_(max_part_col, 1.0)
         partitions = maximum_(1.0, partitions_col)
 
-        # Shuffle throughput, same op order as _shuffle_cost: base, optional
-        # off-heap division, codec multiply, CPU-tax division.
+        # Shuffle throughput, in the order: base, optional off-heap
+        # division, codec multiply, CPU-tax division.
         tp_base = p.shuffle_throughput_mb_s * 1e6
         throughput = (
             where_(layouts.offheap_positive, tp_base / p.offheap_shuffle_discount, tp_base)
@@ -519,8 +357,8 @@ class CostModel:
             return total, spill
 
         def stage_terms(ov):
-            """Per-stage shuffle terms for one override, mirroring the
-            scalar ``_shuffle_cost`` arithmetic order exactly."""
+            """Per-stage shuffle terms for one override, in the same
+            arithmetic order as the app-level terms above."""
             if ov.task_parallelism is None:
                 c = cores
             else:
@@ -545,43 +383,30 @@ class CostModel:
         def cpu(rows, factor):
             return factor * rows / cpu_rate_cores
 
-        per_op: Dict[int, np.ndarray] = {}
-        metric_values: Dict[str, np.ndarray] = {}
-        metric_masks: Dict[str, np.ndarray] = {}
-        total = np.zeros(n)
-        if want_breakdown:
-            metric_values["tasks"] = np.zeros(n)
-            metric_masks["tasks"] = np.ones(n, dtype=bool)
+        # Bookkeeping starts from Python scalars: 0.0 + x is x bitwise, and
+        # a value only becomes an array once an array is added to it.
+        total = 0.0
+        tasks = 0.0
+        per_op: Dict[int, Column] = {}
+        metric_values: Dict[str, Column] = {"tasks": 0.0}
+        metric_masks: Dict[str, Union[np.ndarray, bool]] = {"tasks": True}
 
-        def add_metric(key, value, mask=None):
-            if not want_breakdown:
-                return
-            if key not in metric_values:
-                metric_values[key] = np.zeros(n)
-                metric_masks[key] = np.zeros(n, dtype=bool)
-            if mask is None:
-                metric_values[key] = metric_values[key] + value
-                metric_masks[key] |= True
-            else:
-                metric_values[key] = metric_values[key] + np.where(mask, value, 0.0)
-                metric_masks[key] |= mask
+        def add_metric(key, value, mask=True):
+            if mask is not True:
+                value = where_(mask, value, 0.0)
+            metric_values[key] = metric_values.get(key, 0.0) + value
+            metric_masks[key] = metric_masks.get(key, False) | mask
 
-        def add_tasks(value):
-            if want_breakdown:
-                metric_values["tasks"] = metric_values["tasks"] + value
-
-        for i in range(arrays.n_ops):
-            op_type = arrays.op_types[i]
-            # Stage override for this operator (None on every existing path).
-            ov = overlay.get(arrays.op_ids[i]) if overlay is not None else None
+        ops = zip(arrays.op_ids, arrays.op_types, arrays.rows_in, arrays.row_bytes)
+        for i, (op_id, op_type, rows_in, row_bytes) in enumerate(ops):
+            # Stage override for this operator (None without an overlay).
+            ov = overlay.get(op_id) if overlay is not None else None
             sh = () if ov is None else stage_terms(ov)
             op_parts = partitions if ov is None else sh[0]
             # Per-config scales multiply the *rows* first; bytes derive from
             # the scaled rows — the exact order of plan.scaled(s).
-            rows_in = (
-                arrays.rows_in[i] if scales is None else arrays.rows_in[i] * scales
-            )
-            row_bytes = arrays.row_bytes[i]
+            if scales is not None:
+                rows_in = rows_in * scales
             if op_type == OpType.TABLE_SCAN:
                 bytes_total = (
                     arrays.bytes_in[i] if scales is None else rows_in * row_bytes
@@ -600,13 +425,15 @@ class CostModel:
                 )
                 cost = ceil_(maximum_(n_parts, 1.0) / c) * per_task_s
                 cost = cost + n_parts * p.scheduling_overhead_s
-                add_tasks(n_parts)
-                add_metric("scan_bytes", bytes_total)
+                if want_breakdown:
+                    tasks = tasks + n_parts
+                    add_metric("scan_bytes", bytes_total)
             elif op_type == OpType.EXCHANGE:
                 cost, spill = shuffle(rows_in * row_bytes, *sh)
-                add_tasks(op_parts)
-                add_metric("shuffle_bytes", rows_in * row_bytes)
-                add_metric("spilled", where_(spill > 0, 1.0, 0.0))
+                if want_breakdown:
+                    tasks = tasks + op_parts
+                    add_metric("shuffle_bytes", rows_in * row_bytes)
+                    add_metric("spilled", where_(spill > 0, 1.0, 0.0))
             elif op_type == OpType.JOIN:
                 if scales is None:
                     build_bytes = arrays.join_build_bytes[i]
@@ -620,38 +447,46 @@ class CostModel:
                     ) * arrays.join_build_row_bytes[i]
                     probe_rows = arrays.join_probe_rows[i] * scales
                 is_broadcast = build_bytes <= threshold
-                # Broadcast hash join (computed for every config, selected
-                # by mask — matches the scalar branch arithmetic exactly).
-                t_bc = (
-                    build_bytes * executors / net_denom
-                    + cpu(build_bytes / max(row_bytes, 1.0), 2.0)
-                    + cpu(probe_rows, 1.5)
-                )
-                pressure = build_bytes / bc_mem_budget
-                pressured = build_bytes > bc_mem_budget
-                t_bc = where_(
-                    pressured,
-                    t_bc * (1.0 + minimum_(pressure * pressure, 25.0)),
-                    t_bc,
-                )
-                # Sort-merge join (stage overrides scope to its shuffle).
-                shuffle_s, spill = shuffle(rows_in * row_bytes, *sh)
-                if scales is None:
-                    n_rows = max(rows_in, 2.0)
-                    nlogn = n_rows * math.log2(n_rows)
-                else:
-                    n_rows = np.maximum(rows_in, 2.0)
-                    nlogn = n_rows * _elementwise_log2(n_rows)
-                t_smj = (
-                    shuffle_s
-                    + cpu(nlogn / 20.0, 1.0)
-                    + cpu(rows_in, 1.2)
-                )
+                # Arrays price both joins for every row and select by mask;
+                # the float path prices only the join it takes (the other
+                # one's terms are masked out of every result).
+                t_bc = t_smj = pressure = spill = 0.0
+                pressured = False
+                if is_broadcast is not False:
+                    # Broadcast hash join: ship the build side to every
+                    # executor; memory pressure when a large build side is
+                    # broadcast anyway.
+                    t_bc = (
+                        build_bytes * executors / net_denom
+                        + cpu(build_bytes / max(row_bytes, 1.0), 2.0)
+                        + cpu(probe_rows, 1.5)
+                    )
+                    pressure = build_bytes / bc_mem_budget
+                    pressured = build_bytes > bc_mem_budget
+                    t_bc = where_(
+                        pressured,
+                        t_bc * (1.0 + minimum_(pressure * pressure, 25.0)),
+                        t_bc,
+                    )
+                if is_broadcast is not True:
+                    # Sort-merge join: shuffle both sides on the join key,
+                    # then merge (stage overrides scope to its shuffle).
+                    shuffle_s, spill = shuffle(rows_in * row_bytes, *sh)
+                    if scales is None:
+                        n_rows = max(rows_in, 2.0)
+                        nlogn = n_rows * math.log2(n_rows)
+                    else:
+                        n_rows = np.maximum(rows_in, 2.0)
+                        nlogn = n_rows * _elementwise_log2(n_rows)
+                    t_smj = (
+                        shuffle_s
+                        + cpu(nlogn / 20.0, 1.0)
+                        + cpu(rows_in, 1.2)
+                    )
                 cost = where_(is_broadcast, t_bc, t_smj)
                 if want_breakdown:
-                    is_broadcast = np.broadcast_to(is_broadcast, (n,))
-                    smj = ~is_broadcast
-                    add_tasks(np.where(smj, op_parts, 0.0))
+                    smj = not_(is_broadcast)
+                    tasks = tasks + where_(smj, op_parts, 0.0)
                     add_metric(
                         "broadcast_memory_pressure", pressure,
                         is_broadcast & pressured,
@@ -663,9 +498,10 @@ class CostModel:
             elif op_type == OpType.HASH_AGGREGATE:
                 shuffle_s, spill = shuffle((rows_in * 0.5) * row_bytes, *sh)
                 cost = shuffle_s + cpu(rows_in, 1.3)
-                add_tasks(op_parts)
-                add_metric("shuffle_bytes", (rows_in * 0.5) * row_bytes)
-                add_metric("spilled", where_(spill > 0, 1.0, 0.0))
+                if want_breakdown:
+                    tasks = tasks + op_parts
+                    add_metric("shuffle_bytes", (rows_in * 0.5) * row_bytes)
+                    add_metric("spilled", where_(spill > 0, 1.0, 0.0))
             elif op_type in (OpType.SORT, OpType.WINDOW):
                 shuffle_s, spill = shuffle(rows_in * row_bytes, *sh)
                 if scales is None:
@@ -676,21 +512,27 @@ class CostModel:
                     nlogn = n_rows * _elementwise_log2(n_rows)
                 factor = 1.5 if op_type == OpType.WINDOW else 1.0
                 cost = shuffle_s + cpu(nlogn / 25.0, factor)
-                add_tasks(op_parts)
-                add_metric("shuffle_bytes", rows_in * row_bytes)
-                add_metric("spilled", where_(spill > 0, 1.0, 0.0))
+                if want_breakdown:
+                    tasks = tasks + op_parts
+                    add_metric("shuffle_bytes", rows_in * row_bytes)
+                    add_metric("spilled", where_(spill > 0, 1.0, 0.0))
             else:  # Filter, Project, Union, Limit — narrow transforms
                 cost = cpu(rows_in, 0.5)
             if want_breakdown:
-                per_op[arrays.op_ids[i]] = np.broadcast_to(cost, (n,))
+                per_op[op_id] = cost
             total = total + cost
 
-        total = total + p.fixed_query_overhead_s
-        return BatchCostBreakdown(
-            total_seconds=total,
-            per_operator=per_op,
-            metric_values=metric_values,
-            metric_masks=metric_masks,
-            input_bytes=arrays.total_input_bytes,
-            input_rows=arrays.total_leaf_cardinality,
-        )
+        metric_values["tasks"] = tasks
+        return total + p.fixed_query_overhead_s, per_op, metric_values, metric_masks
+
+
+def _select(condition, if_true, if_false):
+    """``np.where`` for the float path's scalar operands."""
+    return if_true if condition else if_false
+
+
+def _column(value, n: int) -> np.ndarray:
+    """A kernel result as an ``(n,)`` column; uniform scalars broadcast here."""
+    if isinstance(value, np.ndarray) and value.shape == (n,):
+        return value
+    return np.full(n, value)

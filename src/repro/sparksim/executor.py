@@ -206,7 +206,7 @@ class SparkSimulator:
                     true_seconds=true_seconds,
                     data_size=data_size,
                     config=cols.dict_at(i),
-                    metrics=batch.breakdown_at(i).metrics,
+                    metrics=batch.metrics_at(i),
                     plan_signature=signature,
                 )
             )

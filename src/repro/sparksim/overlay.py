@@ -8,9 +8,9 @@ stage — adapted mid-query.  A :class:`StageConfigOverlay` carries those
 per-operator overrides; ``CostModel.estimate``/``estimate_batch`` and the
 ``SparkSimulator`` entry points accept an ``overlay=`` keyword and resolve
 each operator's effective knobs as *override if set, else the app-level
-config*.  The batch kernel stays bitwise-equal to the scalar path with or
-without an overlay (pinned by the ``stages`` tier and the Hypothesis
-battery), and ``overlay=None`` leaves every existing code path untouched.
+config*.  The cost kernel stays bitwise-equal to the per-operator
+reference loop with or without an overlay (pinned by the ``stages`` tier
+and the Hypothesis battery), and ``overlay=None`` leaves every existing code path untouched.
 
 Overrides scope to the stage-shaped cost terms: scan split sizing and the
 shuffle read/write/scheduling terms (including the shuffle inside

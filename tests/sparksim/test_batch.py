@@ -31,6 +31,7 @@ from repro.sparksim.noise import low_noise, no_noise
 from repro.sparksim.plan import Operator, OpType, PhysicalPlan
 from repro.workloads.tpcds import tpcds_plan
 from repro.workloads.tpch import tpch_plan
+from tests.sparksim.reference_cost import estimate_reference
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ def single_op_plan():
 
 def _scalar_reference(model, plan, configs, layout=None):
     return np.array([
-        model.estimate_scalar(plan, config, layout).total_seconds
+        estimate_reference(model.params, plan, config, layout).total_seconds
         for config in configs
     ])
 
@@ -156,7 +157,7 @@ class TestGoldenEquivalence:
         batch = model.estimate_batch(plan, configs, breakdown=True)
         assert batch.n == len(configs)
         for i, config in enumerate(configs):
-            scalar = model.estimate_scalar(plan, config)
+            scalar = estimate_reference(model.params, plan, config)
             got = batch.breakdown_at(i)
             assert got.total_seconds == scalar.total_seconds
             assert got.per_operator == scalar.per_operator
@@ -170,7 +171,7 @@ class TestGoldenEquivalence:
         for v in space.latin_hypercube(6, np.random.default_rng(8)):
             config = space.to_dict(v)
             wrapped = model.estimate(plan, config)
-            scalar = model.estimate_scalar(plan, config)
+            scalar = estimate_reference(model.params, plan, config)
             assert wrapped.total_seconds == scalar.total_seconds
             assert wrapped.per_operator == scalar.per_operator
             assert wrapped.metrics == scalar.metrics
@@ -218,6 +219,29 @@ class TestBatchStructures:
             assert float(layouts.memory_gb_per_executor[i]) == (
                 expected.memory_gb_per_executor
             )
+
+    def test_elementwise_layouts_match_from_config_at_the_caps(self):
+        # Values past every pool cap and below every floor, fractional
+        # knobs that truncate, and off-heap toggled around its 0.5 cut.
+        pool = default_pool()
+        rng = np.random.default_rng(12)
+        n = 64
+        columns = {
+            "spark.executor.instances": rng.uniform(-2.0, 400.0, n),
+            "spark.executor.cores": rng.uniform(-1.0, 3.0 * pool.node_type.cores, n),
+            "spark.executor.memory": rng.uniform(0.0, 2.0 * pool.node_type.memory_gb, n),
+            "spark.memory.offHeap.enabled": rng.choice([0.0, 0.49, 0.5, 1.0], n),
+            "spark.memory.offHeap.size": rng.uniform(-4.0, 16.0, n),
+        }
+        dicts = [{k: float(v[i]) for k, v in columns.items()} for i in range(n)]
+        layouts = resolve_layouts(ConfigColumns.from_dicts(dicts), pool)
+        for i, config in enumerate(dicts):
+            expected = ExecutorLayout.from_config(config, pool)
+            assert layouts.executors[i] == float(expected.executors)
+            assert layouts.total_cores[i] == float(max(expected.total_cores, 1))
+            assert layouts.memory_gb_per_executor[i] == expected.memory_gb_per_executor
+            assert layouts.memory_gb_per_core[i] == expected.memory_gb_per_core
+            assert layouts.offheap_positive[i] == (expected.offheap_gb_per_executor > 0)
 
     def test_to_natural_matrix_matches_elementwise(self):
         for space in (query_level_space(), full_space()):

@@ -9,6 +9,8 @@ from repro.sparksim.overlay import StageConfigOverlay, StageOverride
 from repro.sparksim.plan import OpType
 from repro.workloads.tpch import tpch_plan
 
+from tests.sparksim.reference_cost import estimate_reference
+
 
 class TestStageOverride:
     def test_defaults_are_null(self):
@@ -122,8 +124,8 @@ class TestOverlayChangesCosts:
         vectors = space.sample_vectors(16, rng)
         batch = model.estimate_batch(plan, vectors, space=space, overlay=overlay)
         scalar = np.array([
-            model.estimate_scalar(
-                plan, space.to_dict(v), overlay=overlay
+            estimate_reference(
+                model.params, plan, space.to_dict(v), overlay=overlay
             ).total_seconds
             for v in vectors
         ])

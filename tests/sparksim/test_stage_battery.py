@@ -21,6 +21,8 @@ from repro.sparksim.replan import TargetBytesPerPartition, run_with_replan
 from repro.workloads.tpch import TPCH_QUERY_IDS, tpch_plan
 from repro.workloads.tpcds import tpcds_plan
 
+from tests.sparksim.reference_cost import estimate_reference
+
 pytestmark = pytest.mark.stages
 
 TPCDS_SAMPLE = (3, 7, 19, 42, 88)
@@ -57,8 +59,8 @@ def assert_batch_matches_scalar(plan, overlay, rng, n_configs=8):
     vectors = space.sample_vectors(n_configs, rng)
     batch = model.estimate_batch(plan, vectors, space=space, overlay=overlay)
     scalar = np.array([
-        model.estimate_scalar(
-            plan, space.to_dict(v), overlay=overlay
+        estimate_reference(
+            model.params, plan, space.to_dict(v), overlay=overlay
         ).total_seconds
         for v in vectors
     ])

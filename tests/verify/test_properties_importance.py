@@ -24,6 +24,8 @@ from repro.sparksim.cost_model import CostModel
 from repro.sparksim.overlay import StageConfigOverlay, StageOverride
 from repro.verify.properties import config_spaces, internal_vectors, physical_plans, seeds
 
+from tests.sparksim.reference_cost import estimate_reference
+
 pytestmark = pytest.mark.stages
 
 RELAXED = settings(
@@ -147,8 +149,8 @@ class TestOverlayKernelProperty:
         vectors = space.sample_vectors(4, rng)
         batch = model.estimate_batch(plan, vectors, space=space, overlay=overlay)
         scalar = np.array([
-            model.estimate_scalar(
-                plan, space.to_dict(v), overlay=overlay
+            estimate_reference(
+                model.params, plan, space.to_dict(v), overlay=overlay
             ).total_seconds
             for v in vectors
         ])
