@@ -51,7 +51,9 @@ def generate_candidates(
     high = np.minimum(centroid + beta * span, bounds[:, 1])
 
     n_random = n_candidates - (1 if include_centroid else 0)
-    samples = rng.uniform(low, high, size=(max(n_random, 0), space.dim))
+    # ``rng.uniform(low, high, size)`` exactly (same values, same stream
+    # consumption) without its per-call argument handling.
+    samples = low + (high - low) * rng.random((max(n_random, 0), space.dim))
     if include_centroid:
-        return np.vstack([centroid[None, :], samples]) if n_random else centroid[None, :]
+        return np.concatenate([centroid[None, :], samples]) if n_random else centroid[None, :]
     return samples

@@ -27,10 +27,12 @@ from ..ml.linear import PolynomialFeatures, RidgeRegression
 from ..ml.scaler import Pipeline, StandardScaler
 from .candidates import generate_candidates
 from .config_space import ConfigSpace
-from .find_best import FindBestMode, find_best, fit_window_model
-from .gradient import linear_sign_gradient, ml_sign_gradient
+from .find_best import FindBestMode, find_best, fit_window_model, ranking_rows
+from .gradient import (
+    gradient_rows, linear_sign_gradient, ml_sign_gradient, sign_gradient,
+)
 from .guardrail import Guardrail
-from .observation import Observation, ObservationWindow
+from .observation import Observation, ObservationWindow, feature_rows
 from .optimizer_base import Optimizer
 from .selectors import CandidateSelector, SurrogateSelector
 from .switch import SafeExplorationGate, TaskSwitchDetector
@@ -240,19 +242,17 @@ class CentroidLearning(Optimizer):
         return self
 
     # -- ask/tell -----------------------------------------------------------------
+    # ``coalesced_suggest``/``coalesced_observe`` are ``suggest``/``observe``
+    # as generators: they yield the ``[c, p]`` rows to score with the window
+    # model (one without ``predict_with_std``) and take its predictions back,
+    # so a caller can batch many sessions' model calls (``service.batch_exec``).
 
     def suggest(self, data_size: Optional[float] = None, embedding=None) -> np.ndarray:
-        if not self.tuning_active:
-            telemetry.counter("centroid.suggests", mode="default").inc()
+        candidates = self._draw_candidates()
+        if candidates is None:
             return self.space.default_vector()
         data_size = 1.0 if data_size is None else float(data_size)
-        candidates = generate_candidates(
-            self.space, self._centroid, self.beta, self.n_candidates, self._rng
-        )
-        if (
-            self.safe_gate is not None
-            and len(self.observations.window) >= self.safe_gate.min_observations
-        ):
+        if self._gate_ready():
             model = fit_window_model(self.observations, self.model_factory)
             candidates = self.safe_gate.apply(
                 candidates, model, data_size, self.space.default_vector()
@@ -260,6 +260,48 @@ class CentroidLearning(Optimizer):
         index = self.selector.select(
             candidates, self.observations, data_size, embedding, self._rng
         )
+        return self._suggested(candidates, index)
+
+    def coalesced_suggest(self, data_size: Optional[float] = None, embedding=None):
+        """:meth:`suggest` with caller-supplied window-model predictions."""
+        candidates = self._draw_candidates()
+        if candidates is None:
+            return self.space.default_vector()
+        data_size = 1.0 if data_size is None else float(data_size)
+        if self._gate_ready():
+            default = self.space.default_vector()
+            predictions = yield self.safe_gate.rows(candidates, data_size, default)
+            candidates = self.safe_gate.choose(candidates, predictions, default)
+        selector = self.selector
+        if (
+            type(selector) is SurrogateSelector
+            and selector.model_factory is self.model_factory
+            and len(self.observations.window) >= selector.min_observations
+        ):
+            mean = yield feature_rows(candidates, data_size)
+            index = selector.choose(mean, self.observations)
+        else:
+            index = selector.select(
+                candidates, self.observations, data_size, embedding, self._rng
+            )
+        return self._suggested(candidates, index)
+
+    def _draw_candidates(self) -> Optional[np.ndarray]:
+        """β-neighborhood candidates (``None``: tuning is off, suggest the default)."""
+        if not self.tuning_active:
+            telemetry.counter("centroid.suggests", mode="default").inc()
+            return None
+        return generate_candidates(
+            self.space, self._centroid, self.beta, self.n_candidates, self._rng
+        )
+
+    def _gate_ready(self) -> bool:
+        return (
+            self.safe_gate is not None
+            and len(self.observations.window) >= self.safe_gate.min_observations
+        )
+
+    def _suggested(self, candidates: np.ndarray, index: int) -> np.ndarray:
         telemetry.counter("centroid.suggests", mode="tuning").inc()
         active = telemetry.current_span()
         active.set_attr("candidate_index", int(index))
@@ -267,6 +309,31 @@ class CentroidLearning(Optimizer):
         return candidates[index]
 
     def observe(self, obs: Observation) -> None:
+        if self.record(obs):
+            self._update_centroid(obs)
+
+    def coalesced_observe(self, obs: Observation):
+        """:meth:`observe` with caller-supplied window-model predictions."""
+        if not self.record(obs):
+            return
+        window = self.observations
+        if self.find_best_mode is FindBestMode.MODEL:  # record() left >= 2 points
+            predictions = yield ranking_rows(window, obs.data_size)
+            c_star = window.window[int(np.argmin(predictions))].config
+        else:
+            c_star = find_best(window, mode=self.find_best_mode).config
+        if self.gradient_mode == "ml":
+            predictions = yield gradient_rows(
+                self.space, c_star, obs.data_size, self.effective_alpha, self.probe
+            )
+            delta = sign_gradient(self.space.dim, predictions)
+        else:
+            delta = linear_sign_gradient(window)
+        self._move_centroid(obs, c_star, delta)
+
+    def record(self, obs: Observation) -> bool:
+        """Append ``obs`` and run the switch/guardrail/window checks;
+        ``True`` when the Alg.-1 centroid update is due."""
         super().observe(obs)
         if self.switch_detector is not None:
             decision = self.switch_detector.update(
@@ -275,16 +342,16 @@ class CentroidLearning(Optimizer):
             )
             if decision.detected:
                 self._re_anchor(obs, decision)
-                return
+                return False
         if self.guardrail is not None:
             self.guardrail.update(obs)
             if not self.guardrail.active:
                 telemetry.counter("centroid.updates_skipped", reason="guardrail").inc()
-                return
+                return False
         if len(self.observations.window) < self.min_update_observations:
             telemetry.counter("centroid.updates_skipped", reason="window").inc()
-            return
-        self._update_centroid(obs)
+            return False
+        return True
 
     def _re_anchor(self, obs: Observation, decision) -> None:
         """Regime change: reset the window/guardrail, re-seed the centroid.
@@ -328,29 +395,30 @@ class CentroidLearning(Optimizer):
     # -- the Alg.-1 update ------------------------------------------------------------
 
     def _update_centroid(self, latest: Observation) -> None:
-        with telemetry.span("centroid.update", iteration=latest.iteration) as tspan:
-            window = self.observations
-            model = None
-            if self.find_best_mode is FindBestMode.MODEL or self.gradient_mode == "ml":
-                model = fit_window_model(window, self.model_factory)
-
-            best_obs = find_best(
-                window,
-                mode=self.find_best_mode,
-                model=model,
-                model_factory=self.model_factory,
-                fixed_data_size=latest.data_size,
+        window = self.observations
+        model = None
+        if self.find_best_mode is FindBestMode.MODEL or self.gradient_mode == "ml":
+            model = fit_window_model(window, self.model_factory)
+        best_obs = find_best(
+            window,
+            mode=self.find_best_mode,
+            model=model,
+            model_factory=self.model_factory,
+            fixed_data_size=latest.data_size,
+        )
+        if self.gradient_mode == "ml":
+            delta = ml_sign_gradient(
+                self.space, model, best_obs.config, latest.data_size,
+                self.effective_alpha, probe=self.probe,
             )
-            c_star = best_obs.config
+        else:
+            delta = linear_sign_gradient(window)
+        self._move_centroid(latest, best_obs.config, delta)
 
+    def _move_centroid(self, latest: Observation, c_star: np.ndarray, delta) -> None:
+        """``e_{t+1} = c* ⊖ α·Δ`` and its ``centroid.update`` span/counters."""
+        with telemetry.span("centroid.update", iteration=latest.iteration) as tspan:
             alpha = self.effective_alpha
-            if self.gradient_mode == "ml":
-                delta = ml_sign_gradient(
-                    self.space, model, c_star, latest.data_size, alpha, probe=self.probe
-                )
-            else:
-                delta = linear_sign_gradient(window)
-
             bounds = self.space.internal_bounds
             span = bounds[:, 1] - bounds[:, 0]
             if self.probe == "multiplicative":

@@ -128,6 +128,9 @@ class ConfigSpace:
             raise ValueError(f"duplicate parameter names in {names}")
         self._parameters: List[Parameter] = list(parameters)
         self._index: Dict[str, int] = {p.name: i for i, p in enumerate(parameters)}
+        bounds = np.array([[p.internal_low, p.internal_high] for p in self._parameters])
+        bounds.setflags(write=False)  # shared by every caller
+        self._internal_bounds = bounds
 
     # -- container protocol ---------------------------------------------------
 
@@ -210,8 +213,9 @@ class ConfigSpace:
 
     @property
     def internal_bounds(self) -> np.ndarray:
-        """``(dim, 2)`` array of internal-axis [low, high] per parameter."""
-        return np.array([[p.internal_low, p.internal_high] for p in self._parameters])
+        """``(dim, 2)`` array of internal-axis [low, high] per parameter
+        (read-only; parameters are frozen, so it is computed once)."""
+        return self._internal_bounds
 
     def default_vector(self) -> np.ndarray:
         return np.array([p.internal_default for p in self._parameters])

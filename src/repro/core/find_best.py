@@ -20,9 +20,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..ml.base import Regressor
-from .observation import Observation, ObservationWindow
+from .observation import Observation, ObservationWindow, feature_rows
 
-__all__ = ["FindBestMode", "find_best", "fit_window_model"]
+__all__ = ["FindBestMode", "cached_window_model", "find_best", "fit_window_model",
+           "ranking_rows", "remember_window_model"]
 
 
 class FindBestMode(enum.Enum):
@@ -46,26 +47,41 @@ def fit_window_model(
     fit happens as soon as an observation lands (deterministic factories
     therefore produce bit-identical models to the uncached path).
     """
-    version = getattr(window, "version", None)
-    cache: Optional[dict] = None
-    if version is not None:
-        cache = window.__dict__.setdefault("_window_model_cache", {})
-        entry = cache.get(id(model_factory))
-        if entry is not None:
-            cached_version, cached_factory, cached_model = entry
-            if cached_version == version and cached_factory is model_factory:
-                return cached_model
-    X = window.design_matrix()
-    y = window.performances()
-    model = model_factory()
-    model.fit(X, y)
-    if cache is not None:
-        # Drop entries from older versions so the cache tracks at most one
-        # generation per factory.
-        for key in [k for k, v in cache.items() if v[0] != version]:
-            del cache[key]
-        cache[id(model_factory)] = (version, model_factory, model)
+    model = cached_window_model(window, model_factory)
+    if model is None:
+        model = model_factory()
+        model.fit(window.design_matrix(), window.performances())
+        remember_window_model(window, model_factory, model)
     return model
+
+
+def cached_window_model(
+    window: ObservationWindow, model_factory: Callable[[], Regressor]
+) -> Optional[Regressor]:
+    """``model_factory``'s memoized fit of the window's current version, if any."""
+    entry = window.__dict__.get("_window_model_cache", {}).get(id(model_factory))
+    if entry is None or entry[0] != window.version or entry[1] is not model_factory:
+        return None
+    return entry[2]
+
+
+def remember_window_model(
+    window: ObservationWindow, model_factory: Callable[[], Regressor], model: Regressor
+) -> Regressor:
+    """Memoize ``model`` as ``model_factory``'s fit of the window's current
+    version — the service's batched drain stores its batched fits here."""
+    cache = window.__dict__.setdefault("_window_model_cache", {})
+    # Drop entries from older versions so the cache tracks at most one
+    # generation per factory.
+    for key in [k for k, v in cache.items() if v[0] != window.version]:
+        del cache[key]
+    cache[id(model_factory)] = (window.version, model_factory, model)
+    return model
+
+
+def ranking_rows(window: ObservationWindow, data_size: float) -> np.ndarray:
+    """The ``[c_i, p]`` rows MODEL-mode FIND_BEST ranks with ``H`` (Eq. 5)."""
+    return feature_rows([o.config for o in window.window], data_size)
 
 
 def find_best(
@@ -105,11 +121,6 @@ def find_best(
                 raise ValueError("MODEL mode needs a fitted model or a model_factory")
             model = fit_window_model(window, model_factory)
         p = fixed_data_size if fixed_data_size is not None else obs[-1].data_size
-        # Single (N, dim+1) assembly instead of N per-row concatenations.
-        rows = np.column_stack(
-            [np.stack([o.config for o in obs]), np.full(len(obs), p)]
-        )
-        predictions = model.predict(rows)
-        return obs[int(np.argmin(predictions))]
+        return obs[int(np.argmin(model.predict(ranking_rows(window, p))))]
 
     raise ValueError(f"unknown FindBestMode: {mode}")

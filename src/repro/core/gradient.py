@@ -22,6 +22,7 @@ multiplicative form is available via ``probe="multiplicative"``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -29,9 +30,10 @@ import numpy as np
 from ..ml.base import Regressor
 from ..ml.linear import LinearRegression
 from .config_space import ConfigSpace
-from .observation import ObservationWindow
+from .observation import ObservationWindow, feature_rows
 
-__all__ = ["linear_sign_gradient", "ml_sign_gradient", "probe_points"]
+__all__ = ["gradient_rows", "linear_sign_gradient", "ml_sign_gradient", "probe_points",
+           "sign_gradient"]
 
 # Beyond this many dimensions the 2^d sign enumeration is replaced by a
 # coordinate-wise search (2·d probes instead of 2^d).
@@ -80,17 +82,43 @@ def probe_points(
         points = c_star[None, :] * (1.0 - alpha * deltas)
     else:
         raise ValueError(f"unknown probe geometry {probe!r}")
-    return np.array([space.clip(p) for p in points])
+    return space.clip(points)
 
 
+@functools.lru_cache(maxsize=None)
 def _candidate_deltas(dim: int) -> np.ndarray:
-    """The sign set D (Eq. 7), or a coordinate-wise basis for large d."""
+    """The sign set D (Eq. 7), or a coordinate-wise basis for large d
+    (one read-only array per ``dim``)."""
     if dim <= _MAX_ENUM_DIM:
-        return np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
-    # Coordinate-wise: ±e_j for every dimension; the best per-dimension signs
-    # are combined afterwards.
-    eye = np.eye(dim)
-    return np.vstack([eye, -eye])
+        deltas = np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
+    else:
+        # Coordinate-wise: ±e_j for every dimension; the best per-dimension
+        # signs are combined afterwards.
+        eye = np.eye(dim)
+        deltas = np.vstack([eye, -eye])
+    deltas.setflags(write=False)
+    return deltas
+
+
+def gradient_rows(
+    space: ConfigSpace,
+    c_star: np.ndarray,
+    data_size: float,
+    alpha: float,
+    probe: str = "span",
+) -> np.ndarray:
+    """The ``[probe(c*, δ), p]`` rows Eq. 6 scores with ``H``, one per δ ∈ D."""
+    deltas = _candidate_deltas(space.dim)
+    return feature_rows(probe_points(space, c_star, deltas, alpha, probe), data_size)
+
+
+def sign_gradient(dim: int, predictions: np.ndarray) -> np.ndarray:
+    """Eq. 7's ``argmin_{δ∈D}`` given ``H`` at :func:`gradient_rows`."""
+    if dim <= _MAX_ENUM_DIM:
+        return _candidate_deltas(dim)[int(np.argmin(predictions))].copy()
+    # Coordinate-wise combination: for each dim pick the sign whose single-
+    # coordinate probe predicted lower time.
+    return np.where(predictions[:dim] <= predictions[dim:], 1.0, -1.0)
 
 
 def ml_sign_gradient(
@@ -115,17 +143,5 @@ def ml_sign_gradient(
         The winning sign vector ``Δ ∈ {−1, +1}^d`` (or a combined
         coordinate-wise vector for ``d > 12``).
     """
-    dim = space.dim
-    deltas = _candidate_deltas(dim)
-    points = probe_points(space, c_star, deltas, alpha, probe)
-    rows = np.column_stack([points, np.full(len(points), data_size)])
-    predictions = model.predict(rows)
-
-    if dim <= _MAX_ENUM_DIM:
-        return deltas[int(np.argmin(predictions))]
-
-    # Coordinate-wise combination: for each dim pick the sign whose single-
-    # coordinate probe predicted lower time.
-    plus = predictions[:dim]
-    minus = predictions[dim:]
-    return np.where(plus <= minus, 1.0, -1.0)
+    rows = gradient_rows(space, c_star, data_size, alpha, probe)
+    return sign_gradient(space.dim, model.predict(rows))

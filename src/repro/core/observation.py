@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Observation", "ObservationWindow"]
+__all__ = ["Observation", "ObservationWindow", "feature_rows"]
 
 
 @dataclass(frozen=True)
@@ -106,3 +106,11 @@ class ObservationWindow:
 
     def all_data_sizes(self) -> np.ndarray:
         return np.array([o.data_size for o in self._history])
+
+
+def feature_rows(configs, data_size: float) -> np.ndarray:
+    """Window-model rows ``[c, p]``: each config (at least one) with size ``p``."""
+    rows = np.empty((len(configs), len(configs[0]) + 1))
+    rows[:, :-1] = configs
+    rows[:, -1] = data_size
+    return rows

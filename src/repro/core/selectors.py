@@ -23,7 +23,7 @@ from .. import telemetry
 from ..ml.acquisition import AcquisitionFunction, MeanMinimizer
 from ..ml.base import Regressor
 from .find_best import fit_window_model
-from .observation import ObservationWindow
+from .observation import ObservationWindow, feature_rows
 
 __all__ = [
     "CandidateSelector",
@@ -112,13 +112,19 @@ class SurrogateSelector:
             return int(rng.integers(0, len(candidates)))
 
         model = fit_window_model(window, self.model_factory)
-        rows = np.column_stack([candidates, np.full(len(candidates), data_size)])
+        rows = feature_rows(candidates, data_size)
         try:
             mean, std = model.predict_with_std(rows)  # type: ignore[union-attr]
         except (AttributeError, NotImplementedError):
-            mean = model.predict(rows)
-            std = np.full(len(candidates), 1e-9)
-        best = float(np.min(window.performances()))
+            mean, std = model.predict(rows), None
+        return self.choose(mean, window, std)
+
+    def choose(self, mean: np.ndarray, window: ObservationWindow, std=None) -> int:
+        """Acquisition ``argmax`` over ``H``'s candidate predictions
+        (``std=None``: a model without uncertainty, scored at ``1e-9``)."""
+        if std is None:
+            std = np.full(len(mean), 1e-9)
+        best = float(window.performances().min())
         scores = self.acquisition(mean, std, best)
         chosen = int(np.argmax(scores))
         if telemetry.enabled():

@@ -55,6 +55,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import telemetry
+from .observation import feature_rows
 
 __all__ = [
     "SwitchDecision",
@@ -360,13 +361,18 @@ class SafeExplorationGate:
         fit the selector scores with, so the gate adds no extra fits and
         the lock-step mirror stays bitwise.
         """
+        rows = self.rows(candidates, data_size, default_vector)
+        return self.choose(candidates, model.predict(rows), default_vector)
+
+    @staticmethod
+    def rows(candidates: np.ndarray, data_size: float, default_vector: np.ndarray):
+        """``[c, p]`` rows: every candidate, then the default."""
+        return feature_rows(np.vstack([candidates, default_vector[None, :]]), data_size)
+
+    def choose(self, candidates, predictions: np.ndarray, default_vector) -> np.ndarray:
+        """The safe subset given ``H`` at :meth:`rows` (or the default row)."""
         m = len(candidates)
-        rows = np.column_stack([
-            np.vstack([candidates, default_vector[None, :]]),
-            np.full(m + 1, data_size),
-        ])
-        preds = model.predict(rows)
-        mask = self.safe_mask(preds[:m], preds[m])
+        mask = self.safe_mask(predictions[:m], predictions[m])
         if not mask.any():
             telemetry.counter("safe.fallbacks").inc()
             return default_vector[None, :].copy()

@@ -45,10 +45,7 @@ invariance.
 Sessions whose optimizers fall outside the vectorizable envelope (non-CL
 optimizers, robust guardrails, custom selectors, ...) raise
 :class:`LockstepCompatibilityError` — callers fall back to the sequential
-path rather than silently getting different numbers.  Batched GP
-posteriors for BO/contextual paths are provided by
-:func:`repro.ml.batched.batched_gp_posterior` under a tolerance (not
-bitwise) contract.
+path rather than silently getting different numbers.
 """
 
 from __future__ import annotations

@@ -1,22 +1,22 @@
 """Batched (struct-of-arrays) twins of the scalar model-fitting paths.
 
-The lock-step session engine (:mod:`repro.experiments.lockstep`) runs K
-independent tuning sessions one *step* at a time, which requires fitting K
-window models and K guardrail trend lines per step.  Doing that with K
-Python-level scalar fits would erase the batching win, so this module
+The lock-step session engine (:mod:`repro.experiments.lockstep`) and the
+service's batched drain (:mod:`repro.service.batch_exec`) advance K
+independent tuning sessions side by side, which requires fitting K window
+models (and, in lock-step, K guardrail trend lines) per step.  Doing that
+with K Python-level scalar fits would erase the batching win, so this module
 re-implements the exact arithmetic of the scalar paths over a leading batch
 axis:
 
 * :func:`fit_ridge_pipeline` / :class:`BatchedRidgePipeline` — the default
   ``StandardScaler → PolynomialFeatures → RidgeRegression`` window model
   (:mod:`repro.ml.scaler`, :mod:`repro.ml.linear`), fitted for K sessions at
-  once.
+  once; :meth:`~BatchedRidgePipeline.pipeline_at` and
+  :meth:`~BatchedRidgePipeline.stack` convert to and from scalar
+  :class:`~repro.ml.scaler.Pipeline` objects.
 * :func:`ols_predict` — a deterministic ordinary-least-squares predictor
   (standardized normal equations) shared by the scalar
   :class:`repro.core.guardrail.Guardrail` and its lock-step batch twin.
-* :func:`batched_gp_posterior` — shared-kernel block solves: posterior
-  means/stds for B outcome vectors that share one training-input matrix and
-  one kernel, via a single Cholesky factorization.
 
 **Bit-identity contract.**  Every batched operation here is implemented in a
 form whose per-slice results are bitwise identical to the scalar NumPy
@@ -26,26 +26,22 @@ stacked ``swapaxes(X, 1, 2) @ X`` Gram products, stacked
 ``(m[:, None, :] @ coef[..., None])[:, 0, 0]``.  (Notably,
 ``np.einsum("kf,kf->k", ...)`` is *not* bitwise equal to per-slice dots and
 is deliberately avoided.)  ``tests/ml/test_batched.py`` pins the contract
-per primitive; :func:`repro.verify.diff.diff_lockstep_sequential` pins it
-end to end.
-
-The GP helper is the exception: block triangular solves reassociate
-floating-point sums, so its contract is *numerical* (small atol against
-per-session refits), not bitwise.  That is why the lock-step engine's
-bit-identical fast path covers Centroid Learning sessions, while BO paths
-get batched posteriors with a tolerance-based oracle.
+per primitive; :func:`repro.verify.diff.diff_lockstep_sequential` and
+:func:`repro.verify.diff.diff_sharded_single` pin it end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
+
+from .linear import PolynomialFeatures, RidgeRegression
+from .scaler import Pipeline, StandardScaler
 
 __all__ = [
     "BatchedRidgePipeline",
-    "batched_gp_posterior",
     "fit_ridge_pipeline",
     "ols_predict",
     "polynomial_features_batch",
@@ -85,6 +81,8 @@ class BatchedRidgePipeline:
         intercept: per-session intercepts, ``(K,)``.
         degree / interaction_only: the polynomial expansion used at fit
             time (replayed at predict time).
+        alpha: per-session ridge strengths, ``(K,)`` (set by
+            :func:`fit_ridge_pipeline`; needed only by :meth:`pipeline_at`).
     """
 
     mean: np.ndarray
@@ -93,6 +91,34 @@ class BatchedRidgePipeline:
     intercept: np.ndarray
     degree: int = 2
     interaction_only: bool = False
+    alpha: Optional[np.ndarray] = None
+
+    @classmethod
+    def stack(cls, pipelines: Sequence[Pipeline]) -> "BatchedRidgePipeline":
+        """K fitted ``scale → poly → ridge`` pipelines sharing one expansion."""
+        scalers = [p.steps[0][1] for p in pipelines]
+        ridges = [p.steps[2][1] for p in pipelines]
+        poly = pipelines[0].steps[1][1]
+        return cls(
+            mean=np.array([s.mean_ for s in scalers]),
+            scale=np.array([s.scale_ for s in scalers]),
+            coef=np.array([r.coef_ for r in ridges]),
+            intercept=np.array([r.intercept_ for r in ridges]),
+            degree=poly.degree,
+            interaction_only=poly.interaction_only,
+        )
+
+    def pipeline_at(self, k: int) -> Pipeline:
+        """Slice ``k`` as the fitted scalar :class:`Pipeline` it equals bitwise."""
+        scaler = StandardScaler()
+        scaler.mean_, scaler.scale_ = self.mean[k], self.scale[k]
+        ridge = RidgeRegression(alpha=float(self.alpha[k]))
+        ridge.coef_, ridge.intercept_ = self.coef[k], float(self.intercept[k])
+        return Pipeline([
+            ("scale", scaler),
+            ("poly", PolynomialFeatures(self.degree, self.interaction_only)),
+            ("ridge", ridge),
+        ])
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
         """Predict at ``queries`` of shape ``(K, m, f)`` → ``(K, m)``."""
@@ -144,7 +170,7 @@ def fit_ridge_pipeline(X: np.ndarray, y: np.ndarray, alphas: np.ndarray,
     intercept = y_mean - (x_mean[:, None, :] @ coef[..., None])[:, 0, 0]
     return BatchedRidgePipeline(
         mean=mean, scale=scale, coef=coef, intercept=intercept,
-        degree=degree, interaction_only=interaction_only,
+        degree=degree, interaction_only=interaction_only, alpha=alphas,
     )
 
 
@@ -193,63 +219,3 @@ def ols_predict(X: np.ndarray, y: np.ndarray, queries: np.ndarray) -> np.ndarray
     qs = (queries - mean[:, None, :]) / std[:, None, :]
     out = (qs @ coef[..., None])[..., 0] + y_mean[:, None]
     return out[0] if scalar else out
-
-
-def batched_gp_posterior(template, X: np.ndarray, Y: np.ndarray,
-                         X_star: np.ndarray):
-    """Posterior means/stds for B targets sharing one kernel and input set.
-
-    When B sessions observe the *same* candidate configurations (a shared
-    workload family) but different outcomes, their GP posteriors share the
-    training-kernel Cholesky factor.  This computes all B posteriors with
-    one factorization and block triangular solves instead of B independent
-    fits.
-
-    Args:
-        template: a :class:`repro.ml.gp.GaussianProcessRegressor` supplying
-            the (frozen) kernel hyperparameters, noise variance, and
-            ``normalize_y`` policy.  It is not mutated.
-        X: shared training inputs, shape ``(n, f)``.
-        Y: per-session raw targets, shape ``(B, n)``.
-        X_star: query points, shape ``(m, f)``.
-
-    Returns:
-        ``(means, stds)`` of shape ``(B, m)`` each.  Agrees with B
-        independent ``fit(X, Y[b]).predict_with_std(X_star)`` calls (with
-        hyperparameter optimization disabled) to numerical tolerance — block
-        solves reassociate sums, so this contract is atol-based, not
-        bitwise.
-    """
-    from .gp import _JITTER  # local import: keep the gp module optional here
-
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    X_star = np.asarray(X_star, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != len(X):
-        raise ValueError(
-            f"Y must have shape (B, {len(X)}), got {Y.shape}"
-        )
-    if template.normalize_y:
-        y_mean = Y.mean(axis=1)
-        y_std = Y.std(axis=1)
-        y_std = np.where(y_std == 0.0, 1.0, y_std)
-    else:
-        y_mean = np.zeros(len(Y))
-        y_std = np.ones(len(Y))
-    yn = (Y - y_mean[:, None]) / y_std[:, None]
-
-    kernel = template.kernel
-    K = kernel(X, X)
-    K[np.diag_indices_from(K)] += template.noise + _JITTER
-    L = np.linalg.cholesky(K)
-    chol = (L, True)
-    # Block solve: all B alpha vectors from one factorization.
-    alphas = cho_solve(chol, yn.T)                      # (n, B)
-    K_star = kernel(X_star, X)                          # (m, n)
-    means_n = K_star @ alphas                           # (m, B)
-    v = cho_solve(chol, K_star.T)                       # (n, m)
-    var_n = kernel.diag(X_star) - np.sum(K_star * v.T, axis=1)
-    np.maximum(var_n, 1e-12, out=var_n)
-    means = means_n.T * y_std[:, None] + y_mean[:, None]
-    stds = np.sqrt(var_n)[None, :] * y_std[:, None]
-    return means, stds

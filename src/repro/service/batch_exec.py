@@ -1,33 +1,19 @@
-"""Batched drain execution: coalesce co-tenant requests into batched fits.
+"""Batched drain execution: one Centroid-Learning step, many sessions.
 
-A shard drain hands this module a *run* of requests touching pairwise
-distinct sessions.  For every session whose optimizer matches the plain
-production shape (:func:`batch_profile_for`), the per-request window-model
-work is coalesced across the run:
-
-* one :func:`repro.ml.batched.fit_ridge_pipeline` call fits every window
-  model the run needs (grouped by window length — ``slice k`` of a batched
-  fit is bitwise-identical to the scalar ``Pipeline`` fit, the PR-6
-  contract);
-* one :class:`~repro.ml.batched.BatchedRidgePipeline.predict` call scores
-  all candidate sets (suggest), ranks all windows (FIND_BEST) and probes
-  all sign sets (FIND_GRADIENT) per shape group.
-
-Everything *around* the model math replays the scalar code path exactly —
-same RNG draws (`generate_candidates` consumes each session's own
-generator), same telemetry counters, same tie-breaking ``argmin``/``argmax``
-— so the per-session observation/counter trail is bit-identical to
-request-by-request :class:`~repro.service.sessions.TenantSessionHost`
-calls.  The ``diff_sharded_single`` oracle (:mod:`repro.verify.diff`) pins
-this end to end; sessions that don't match the profile (guardrails,
-detectors, safe gates, custom selectors/models) silently fall back to the
-scalar path.
-
-Fitted batch parameters are memoized per window at
-``window.__dict__["_batched_window_params"]`` keyed by the window's append
-version — the same invalidation rule as
-:func:`repro.core.find_best.fit_window_model` — so each session pays one
-fit per observation, exactly like the scalar path's memo cache.
+A shard drain hands :func:`execute_run` a run of requests over pairwise
+distinct sessions.  A session is batched when its optimizer is a
+``CentroidLearning`` whose window model is the standard ridge pipeline
+(:func:`batch_profile_for`); its request then runs as the optimizer's own
+``coalesced_suggest``/``coalesced_observe`` step — guardrail, switch
+detector, safe gate, selector and FIND_BEST/FIND_GRADIENT modes included.
+This module only orchestrates: it advances every step to its next model
+call, fits the window models the run lacks in one :func:`fit_ridge_pipeline`
+call per window shape (into the ``fit_window_model`` memo), scores every
+pending row block in one :class:`BatchedRidgePipeline` predict per shape —
+both bitwise the scalar fit and predict — and sends each step its
+predictions.  Every other session goes request by request through
+:meth:`TenantSessionHost.apply`; ``diff_sharded_single`` pins the two paths
+bitwise.
 """
 
 from __future__ import annotations
@@ -37,14 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import telemetry
-from ..core.candidates import generate_candidates
+# perfbench/tracer.py patches ``generate_candidates`` here by name.
+from ..core.candidates import generate_candidates  # noqa: F401
 from ..core.centroid import CentroidLearning
-from ..core.find_best import FindBestMode
-from ..core.gradient import _MAX_ENUM_DIM, _candidate_deltas
+from ..core.find_best import cached_window_model, remember_window_model
 from ..core.optimizer_base import Optimizer
-from ..core.selectors import SurrogateSelector
-from ..ml.acquisition import MeanMinimizer
 from ..ml.batched import BatchedRidgePipeline, fit_ridge_pipeline
 from ..ml.linear import PolynomialFeatures, RidgeRegression
 from ..ml.scaler import Pipeline, StandardScaler
@@ -52,340 +35,108 @@ from .sessions import TenantSession, TenantSessionHost, UNPROBED
 
 __all__ = ["BatchProfile", "batch_profile_for", "execute_run"]
 
-_PARAMS_ATTR = "_batched_window_params"
 
-
-@dataclass
+@dataclass(frozen=True)
 class BatchProfile:
-    """Everything the batched path needs to know about one session's shape."""
+    """The window-model hyperparameters a batched fit needs."""
 
     alpha: float
     degree: int
     interaction_only: bool
-    dim: int
-    bounds_low: np.ndarray
-    bounds_high: np.ndarray
-    span: np.ndarray
-    deltas: np.ndarray  # the FIND_GRADIENT sign set D for this dim
 
 
 def batch_profile_for(optimizer: Optimizer) -> Optional[BatchProfile]:
-    """Probe whether ``optimizer`` is exactly the plain production shape.
-
-    Batching replays `CentroidLearning`'s default flow; anything that adds
-    behavior to suggest/observe — guardrails, switch detectors, safe gates,
-    baselines, non-default selectors/acquisitions/modes — routes the session
-    to the scalar fallback instead.  Returns ``None`` when ineligible.
-    """
+    """A :class:`BatchProfile` for a ``CentroidLearning`` whose window model
+    is ``StandardScaler → PolynomialFeatures → RidgeRegression(fit_intercept=True)``
+    — the model :func:`fit_ridge_pipeline` reproduces bitwise — else ``None``."""
     if type(optimizer) is not CentroidLearning:
         return None
-    if (
-        optimizer.guardrail is not None
-        or optimizer.switch_detector is not None
-        or optimizer.safe_gate is not None
-    ):
-        return None
-    if optimizer.find_best_mode is not FindBestMode.MODEL:
-        return None
-    if optimizer.gradient_mode != "ml" or optimizer.probe != "span":
-        return None
-    if optimizer.space.dim > _MAX_ENUM_DIM:
-        return None
-    selector = optimizer.selector
-    if type(selector) is not SurrogateSelector:
-        return None
-    if selector.baseline is not None:
-        return None
-    if type(selector.acquisition) is not MeanMinimizer:
-        return None
-    if selector.model_factory is not optimizer.model_factory:
-        return None
     try:
-        probe = optimizer.model_factory()
+        model = optimizer.model_factory()
     except Exception:  # noqa: BLE001 — an exploding factory is "not batchable"
         return None
-    if type(probe) is not Pipeline or len(probe.steps) != 3:
+    steps = [step for _, step in model.steps] if type(model) is Pipeline else []
+    if [type(step) for step in steps] != [StandardScaler, PolynomialFeatures, RidgeRegression]:
         return None
-    scaler, poly, ridge = (step for _, step in probe.steps)
-    if (
-        type(scaler) is not StandardScaler
-        or type(poly) is not PolynomialFeatures
-        or type(ridge) is not RidgeRegression
-    ):
+    _, poly, ridge = steps
+    if not ridge.fit_intercept:
         return None
-    bounds = optimizer.space.internal_bounds
-    dim = optimizer.space.dim
-    return BatchProfile(
-        alpha=float(ridge.alpha),
-        degree=int(poly.degree),
-        interaction_only=bool(poly.interaction_only),
-        dim=dim,
-        bounds_low=bounds[:, 0].copy(),
-        bounds_high=bounds[:, 1].copy(),
-        span=(bounds[:, 1] - bounds[:, 0]).copy(),
-        deltas=_candidate_deltas(dim),
-    )
-
-
-# One fitted window model in SoA-slice form: (mean, scale, coef, intercept).
-_Params = Tuple[np.ndarray, np.ndarray, np.ndarray, float]
-
-
-def _ensure_window_models(
-    entries: Sequence[Tuple[TenantSession, BatchProfile]],
-) -> List[_Params]:
-    """Current-version window-model parameters for every entry.
-
-    Cached parameters are reused (same version ⇒ same model, the
-    `fit_window_model` rule); the rest are fitted in one
-    :func:`fit_ridge_pipeline` call per ``(n, features, degree)`` group.
-    """
-    params: List[Optional[_Params]] = [None] * len(entries)
-    groups: Dict[Tuple[int, int, int, bool], List[int]] = {}
-    for i, (session, profile) in enumerate(entries):
-        window = session.optimizer.observations
-        cached = window.__dict__.get(_PARAMS_ATTR)
-        if cached is not None and cached[0] == window.version:
-            params[i] = cached[1]
-            continue
-        X = window.design_matrix()
-        key = (X.shape[0], X.shape[1], profile.degree, profile.interaction_only)
-        groups.setdefault(key, []).append(i)
-    for (n, f, degree, interaction_only), members in groups.items():
-        stacked_X = np.empty((len(members), n, f))
-        stacked_y = np.empty((len(members), n))
-        alphas = np.empty(len(members))
-        for j, i in enumerate(members):
-            session, profile = entries[i]
-            window = session.optimizer.observations
-            stacked_X[j] = window.design_matrix()
-            stacked_y[j] = window.performances()
-            alphas[j] = profile.alpha
-        fitted = fit_ridge_pipeline(
-            stacked_X, stacked_y, alphas, degree=degree,
-            interaction_only=interaction_only,
-        )
-        for j, i in enumerate(members):
-            window = entries[i][0].optimizer.observations
-            slice_params: _Params = (
-                fitted.mean[j], fitted.scale[j], fitted.coef[j],
-                float(fitted.intercept[j]),
-            )
-            params[i] = slice_params
-            window.__dict__[_PARAMS_ATTR] = (window.version, slice_params)
-    return params  # type: ignore[return-value]
-
-
-def _predict_groups(
-    params: Sequence[_Params],
-    queries: Sequence[np.ndarray],
-    degree: int,
-    interaction_only: bool,
-) -> List[np.ndarray]:
-    """Per-entry predictions, one batched predict per query shape."""
-    out: List[Optional[np.ndarray]] = [None] * len(queries)
-    by_shape: Dict[Tuple[int, int], List[int]] = {}
-    for i, rows in enumerate(queries):
-        by_shape.setdefault(rows.shape, []).append(i)
-    for shape, members in by_shape.items():
-        model = BatchedRidgePipeline(
-            mean=np.stack([params[i][0] for i in members]),
-            scale=np.stack([params[i][1] for i in members]),
-            coef=np.stack([params[i][2] for i in members]),
-            intercept=np.array([params[i][3] for i in members]),
-            degree=degree,
-            interaction_only=interaction_only,
-        )
-        predictions = model.predict(np.stack([queries[i] for i in members]))
-        for j, i in enumerate(members):
-            out[i] = predictions[j]
-    return out  # type: ignore[return-value]
-
-
-# -- request execution ---------------------------------------------------------------
+    return BatchProfile(float(ridge.alpha), int(poly.degree), bool(poly.interaction_only))
 
 
 def execute_run(
     host: TenantSessionHost, pairs: Sequence[Tuple[TenantSession, object]]
 ) -> None:
-    """Process one drained run of requests over pairwise-distinct sessions.
+    """Serve one drained run of requests over pairwise-distinct sessions.
 
-    Each request object carries ``op`` (``"suggest"``/``"observe"``),
+    Each request carries ``op`` (``"suggest"``/``"observe"``) and
     ``data_size`` or ``observation``/``event``, and receives its ``result``.
-    Distinctness is the caller's contract — it makes intra-run order
-    irrelevant (sessions are independent), which is what lets suggests and
-    observes regroup into batched phases without changing any trail.
+    Distinct sessions are independent, so their steps may advance side by
+    side without changing any trail.
     """
-    suggests: List[Tuple[TenantSession, object]] = []
-    observes: List[Tuple[TenantSession, object]] = []
+    steps = []
     for session, request in pairs:
         if session.batch_profile is UNPROBED:
             session.batch_profile = batch_profile_for(session.optimizer)
         if session.batch_profile is None:
-            _scalar_apply(host, session, request)
-        elif request.op == "suggest":
-            suggests.append((session, request))
-        else:
-            observes.append((session, request))
-    if observes:
-        _run_observes(host, observes)
-    if suggests:
-        _run_suggests(suggests)
-
-
-def _scalar_apply(host: TenantSessionHost, session: TenantSession, request) -> None:
-    """The per-request scalar path (identical to TenantSessionHost calls)."""
-    session.requests += 1
-    if request.op == "suggest":
-        request.result = session.optimizer.suggest(data_size=request.data_size)
-    else:
-        session.optimizer.observe(request.observation)
-        if request.event is not None:
-            host.forward_event(session, request.event)
-        request.result = None
-
-
-# -- suggest: candidates → (batched fit+predict) → acquisition argmax ---------------
-
-
-def _finish_suggest(request, candidates: np.ndarray, index: int) -> None:
-    telemetry.counter("centroid.suggests", mode="tuning").inc()
-    active = telemetry.current_span()
-    active.set_attr("candidate_index", int(index))
-    active.set_attr("n_candidates", int(len(candidates)))
-    request.result = candidates[index]
-
-
-def _run_suggests(items: Sequence[Tuple[TenantSession, object]]) -> None:
-    warm: List[Tuple[TenantSession, object, np.ndarray, float]] = []
-    for session, request in items:
-        session.requests += 1
-        opt = session.optimizer
-        if not opt.tuning_active:
-            telemetry.counter("centroid.suggests", mode="default").inc()
-            request.result = opt.space.default_vector()
+            host.apply(session, request)
             continue
-        data_size = 1.0 if request.data_size is None else float(request.data_size)
-        candidates = generate_candidates(
-            opt.space, opt._centroid, opt.beta, opt.n_candidates, opt._rng
-        )
-        if len(opt.observations.window) < opt.selector.min_observations:
-            # Cold start without a baseline: explore the neighborhood.
-            index = int(opt._rng.integers(0, len(candidates)))
-            _finish_suggest(request, candidates, index)
-        else:
-            warm.append((session, request, candidates, data_size))
-    if not warm:
-        return
-    profile = warm[0][0].batch_profile
-    params = _ensure_window_models([(s, s.batch_profile) for s, _, _, _ in warm])
-    queries = [
-        np.column_stack([candidates, np.full(len(candidates), data_size)])
-        for _, _, candidates, data_size in warm
-    ]
-    means = _predict_groups(params, queries, profile.degree, profile.interaction_only)
-    for i, (session, request, candidates, _) in enumerate(warm):
-        opt = session.optimizer
-        selector = opt.selector
-        mean = means[i]
-        std = np.full(len(candidates), 1e-9)
-        best = float(np.min(opt.observations.performances()))
-        scores = selector.acquisition(mean, std, best)
-        chosen = int(np.argmax(scores))
-        if telemetry.enabled():
-            tspan = telemetry.current_span()
-            tspan.set_attr("candidate_scores", np.asarray(scores, dtype=float).tolist())
-            tspan.set_attr("candidate_chosen_score", float(scores[chosen]))
-            tspan.set_attr("candidate_mean_prediction", float(np.mean(mean)))
-        _finish_suggest(request, candidates, chosen)
-
-
-# -- observe: append → (batched fit) → FIND_BEST → FIND_GRADIENT → update -----------
-
-
-def _run_observes(
-    host: TenantSessionHost, items: Sequence[Tuple[TenantSession, object]]
-) -> None:
-    pending: List[Tuple[TenantSession, object]] = []
-    for session, request in items:
         session.requests += 1
-        opt = session.optimizer
-        Optimizer.observe(opt, request.observation)  # validate + append
-        if len(opt.observations.window) < opt.min_update_observations:
-            telemetry.counter("centroid.updates_skipped", reason="window").inc()
+        optimizer = session.optimizer
+        if request.op == "suggest":
+            step = optimizer.coalesced_suggest(data_size=request.data_size)
         else:
-            pending.append((session, request))
-    if pending:
-        _batched_centroid_updates(pending)
-    for session, request in items:
-        if request.event is not None:
+            step = optimizer.coalesced_observe(request.observation)
+        steps.append((session, request, step))
+    pending = _advance(steps, [None] * len(steps))
+    while pending:
+        pending = _advance([entry[:3] for entry in pending], _predict(pending))
+    for session, request, _ in steps:
+        if request.op == "observe" and request.event is not None:
             host.forward_event(session, request.event)
-        request.result = None
 
 
-def _batched_centroid_updates(pending: Sequence[Tuple[TenantSession, object]]) -> None:
-    profile0 = None
-    for session, _ in pending:
-        profile0 = profile0 or session.batch_profile
-    params = _ensure_window_models([(s, s.batch_profile) for s, _ in pending])
+def _advance(steps, predictions) -> List[tuple]:
+    """Send each step its predictions; keep the ones that ask for more."""
+    pending = []
+    for (session, request, step), sent in zip(steps, predictions):
+        try:
+            pending.append((session, request, step, step.send(sent)))
+        except StopIteration as done:
+            request.result = done.value
+    return pending
 
-    # FIND_BEST (MODEL mode): rank each window's configs at the latest size.
-    rank_queries: List[np.ndarray] = []
-    for session, request in pending:
-        window = session.optimizer.observations
-        configs = window.configs()
-        rank_queries.append(np.column_stack([
-            configs, np.full(len(configs), request.observation.data_size)
-        ]))
-    rank_predictions = _predict_groups(
-        params, rank_queries, profile0.degree, profile0.interaction_only
-    )
 
-    # FIND_GRADIENT (Eq. 6): probe the sign set around each session's c*.
-    best_indices = [int(np.argmin(p)) for p in rank_predictions]
-    probe_queries: List[np.ndarray] = []
-    alphas: List[float] = []
-    c_stars: List[np.ndarray] = []
-    for i, (session, request) in enumerate(pending):
-        opt = session.optimizer
+def _predict(pending: Sequence[tuple]) -> List[np.ndarray]:
+    """Each pending step's window-model predictions, fitted and scored in batches."""
+    models: List[Optional[Pipeline]] = []
+    fits: Dict[tuple, List[Tuple[int, np.ndarray]]] = {}
+    for i, (session, _, _, _) in enumerate(pending):
+        window, profile = session.optimizer.observations, session.batch_profile
+        models.append(cached_window_model(window, session.optimizer.model_factory))
+        if models[i] is None:
+            X = window.design_matrix()
+            fits.setdefault((X.shape, profile.degree, profile.interaction_only), []).append((i, X))
+    for (_, degree, interaction_only), members in fits.items():
+        optimizers = [pending[i][0].optimizer for i, _ in members]
+        fitted = fit_ridge_pipeline(
+            np.array([X for _, X in members]),
+            np.array([o.observations.performances() for o in optimizers]),
+            np.array([pending[i][0].batch_profile.alpha for i, _ in members]),
+            degree=degree, interaction_only=interaction_only,
+        )
+        for k, ((i, _), o) in enumerate(zip(members, optimizers)):
+            models[i] = remember_window_model(
+                o.observations, o.model_factory, fitted.pipeline_at(k)
+            )
+    out: List[Optional[np.ndarray]] = [None] * len(pending)
+    groups: Dict[tuple, List[int]] = {}
+    for i, (session, _, _, rows) in enumerate(pending):
         profile = session.batch_profile
-        window_obs = opt.observations.window
-        best_obs = window_obs[0] if len(window_obs) < 2 else window_obs[best_indices[i]]
-        c_star = best_obs.config
-        alpha = opt.effective_alpha
-        points = c_star[None, :] - alpha * profile.deltas * profile.span[None, :]
-        points = np.clip(points, profile.bounds_low, profile.bounds_high)
-        probe_queries.append(np.column_stack([
-            points, np.full(len(points), request.observation.data_size)
-        ]))
-        alphas.append(alpha)
-        c_stars.append(c_star)
-    probe_predictions = _predict_groups(
-        params, probe_queries, profile0.degree, profile0.interaction_only
-    )
-
-    for i, (session, request) in enumerate(pending):
-        opt = session.optimizer
-        profile = session.batch_profile
-        latest = request.observation
-        with telemetry.span("centroid.update", iteration=latest.iteration) as tspan:
-            c_star = c_stars[i]
-            alpha = alphas[i]
-            delta = profile.deltas[int(np.argmin(probe_predictions[i]))]
-            new_centroid = c_star - alpha * delta * profile.span
-            before = opt._centroid
-            opt._centroid = opt.space.clip(new_centroid)
-            opt._n_updates += 1
-            opt._last_gradient = np.asarray(delta, dtype=float)
-            opt._last_best = np.asarray(c_star, dtype=float)
-            telemetry.counter("centroid.updates").inc()
-            if telemetry.enabled():
-                move = float(np.linalg.norm(opt._centroid - before))
-                telemetry.gauge("centroid.last_move_norm").set(move)
-                tspan.set_attr("n_update", opt._n_updates)
-                tspan.set_attr("alpha", alpha)
-                tspan.set_attr("centroid_before", before.tolist())
-                tspan.set_attr("centroid_after", opt._centroid.tolist())
-                tspan.set_attr("c_star", opt._last_best.tolist())
-                tspan.set_attr("sign_gradient", opt._last_gradient.tolist())
-                tspan.set_attr("move_norm", move)
+        groups.setdefault((rows.shape, profile.degree, profile.interaction_only), []).append(i)
+    for members in groups.values():
+        batched = BatchedRidgePipeline.stack([models[i] for i in members])
+        scored = batched.predict(np.array([pending[i][3] for i in members]))
+        for k, i in enumerate(members):
+            out[i] = scored[k]
+    return out  # type: ignore[return-value]

@@ -5,11 +5,11 @@ signature)`` optimizer state *in the service*: the client (or fleet driver)
 sends plain suggest/observe requests and the shard hosts the
 :class:`~repro.core.centroid.CentroidLearning` session that answers them.
 
-:class:`TenantSessionHost` is that per-shard session table.  It is also the
-**reference scalar path**: the sharded service's batched drain
-(:mod:`repro.service.batch_exec`) must be bit-identical to calling
-:meth:`TenantSessionHost.suggest` / :meth:`~TenantSessionHost.observe`
-request-by-request — the ``diff_sharded_single`` oracle pins exactly that.
+:class:`TenantSessionHost` is that per-shard session table, and
+:meth:`TenantSessionHost.apply` is the one scalar request path: the
+``coalesce=False`` reference deployment and every session the batched drain
+(:mod:`repro.service.batch_exec`) does not batch go through it, and the
+``diff_sharded_single`` oracle pins the batched drain bitwise to it.
 
 When the host is built with an :class:`~repro.service.backend.AutotuneBackend`
 it registers one app per session (``app_id = "<workload>:<signature>"``) and
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..core.observation import Observation
 from ..core.optimizer_base import Optimizer
 from ..sparksim.events import QueryEndEvent
 from .auth import TokenError
@@ -37,8 +36,8 @@ __all__ = ["SessionKey", "TenantSession", "TenantSessionHost", "UNPROBED"]
 
 SessionKey = Tuple[str, str]  # (workload_id, query_signature)
 
-# Sentinel for TenantSession.batch_profile: "not yet probed" (the batched
-# executor resolves it to a BatchProfile or None on first contact).
+# TenantSession.batch_profile before the batched drain first probes it
+# (it becomes a BatchProfile, or None for a request-by-request session).
 UNPROBED = object()
 
 # (workload_id, query_signature) -> a fresh optimizer for that session.
@@ -54,7 +53,6 @@ class TenantSession:
         self.key = key
         self.optimizer = optimizer
         self.grant: Optional[JobGrant] = None
-        # Resolved lazily by the batched executor (None = scalar-only session).
         self.batch_profile = UNPROBED
         self.requests = 0
 
@@ -130,25 +128,21 @@ class TenantSessionHost:
 
     # -- scalar request path -----------------------------------------------------
 
-    def suggest(
-        self, workload_id: str, query_signature: str, data_size: Optional[float] = None
-    ):
-        session = self.session(workload_id, query_signature)
-        session.requests += 1
-        return session.optimizer.suggest(data_size=data_size)
+    def apply(self, session: TenantSession, request) -> None:
+        """Serve one request on the scalar path.
 
-    def observe(
-        self,
-        workload_id: str,
-        query_signature: str,
-        observation: Observation,
-        event: Optional[QueryEndEvent] = None,
-    ) -> None:
-        session = self.session(workload_id, query_signature)
+        ``request`` carries ``op`` (``"suggest"``/``"observe"``) and
+        ``data_size`` or ``observation``/``event``; it receives its
+        ``result``.  This is the reference every coalesced drain must match.
+        """
         session.requests += 1
-        session.optimizer.observe(observation)
-        if event is not None:
-            self.forward_event(session, event)
+        if request.op == "suggest":
+            request.result = session.optimizer.suggest(data_size=request.data_size)
+        else:
+            session.optimizer.observe(request.observation)
+            if request.event is not None:
+                self.forward_event(session, request.event)
+            request.result = None
 
     def forward_event(self, session: TenantSession, event: QueryEndEvent) -> None:
         """Push one observed event through the backend pipeline (if any).

@@ -17,9 +17,11 @@ Request path::
   on the blocking :meth:`ShardedAutotuneService.call` path).
 * **Batched drain** — :meth:`drain_shard` splits the FIFO backlog into runs
   of pairwise-distinct sessions and hands each run to
-  :func:`repro.service.batch_exec.execute_run`, which coalesces the
-  co-tenant window-model fits and predictions into batched kernel calls
-  while reproducing the scalar request path bit-for-bit.
+  :func:`repro.service.batch_exec.execute_run`, which runs every
+  Centroid-Learning session's own step and batches the window-model fits
+  and predictions across the run (bit-for-bit the scalar path);
+  ``coalesce=False`` serves each request through
+  :meth:`~repro.service.sessions.TenantSessionHost.apply` instead.
 * **Rebalance** — :meth:`add_shard` / :meth:`remove_shard` /
   :meth:`resize` recompute the ring and hand live sessions to their new
   owners (bounded movement, optimizer state intact);
@@ -117,9 +119,9 @@ class ShardedAutotuneService:
             state, seeds included, from the session key — see
             :class:`~repro.service.sessions.TenantSessionHost`).
         queue_capacity: per-shard ingress queue bound.
-        coalesce: batch co-tenant requests per drain run (the tentpole
-            fast path); ``False`` processes every request scalar — the
-            single-backend reference behavior behind the same queues.
+        coalesce: batch co-tenant window-model fits and predictions per
+            drain run; ``False`` serves every request through the scalar
+            path — the single-backend reference behind the same queues.
         backend_factory: optional ``shard_id -> AutotuneBackend``; when
             given, each shard forwards observed events through its own
             backend pipeline.
@@ -269,7 +271,7 @@ class ShardedAutotuneService:
                 execute_run(shard.host, pairs)
             else:
                 for session, request in pairs:
-                    self._scalar_request(shard.host, session, request)
+                    shard.host.apply(session, request)
             now = self.clock()
             for request in run:
                 request.completed_at = now
@@ -299,18 +301,6 @@ class ShardedAutotuneService:
             seen.add(key)
         if run:
             yield run
-
-    @staticmethod
-    def _scalar_request(host: TenantSessionHost, session: TenantSession,
-                        request: TuneRequest) -> None:
-        session.requests += 1
-        if request.op == "suggest":
-            request.result = session.optimizer.suggest(data_size=request.data_size)
-        else:
-            session.optimizer.observe(request.observation)
-            if request.event is not None:
-                host.forward_event(session, request.event)
-            request.result = None
 
     def drain_all(self, parallel: bool = False) -> int:
         """Drain every shard once; ``parallel`` drains shards on threads.

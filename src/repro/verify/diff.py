@@ -831,6 +831,9 @@ def diff_sharded_single(
     once against an ``n_shards``-way :class:`ShardedAutotuneService` with
     batched drains and per-shard backends, and once against the
     single-shard, scalar (``coalesce=False``) reference with one backend.
+    Odd-indexed workloads are production-shaped — the paper guardrail, a
+    task-switch detector and the safe gate — so the batched drain is checked
+    on those tenants too, not only on plain Centroid Learning.
     The contract: every tenant session's observation history, centroid
     walk, update count, and request count — plus the whole telemetry
     counter map minus ``service.*`` (shard counts, queue stats, and
@@ -849,10 +852,24 @@ def diff_sharded_single(
     """
     from ..service.backend import AutotuneBackend
     from ..service.auth import SasTokenIssuer
-    from ..service.fleet import (
-        build_fleet, default_optimizer_factory, fleet_user_map, run_fleet,
-    )
+    from ..service.fleet import build_fleet, fleet_user_map, run_fleet
     from ..service.sharded import ShardedAutotuneService
+
+    def optimizer_factory(fleet):
+        space = query_level_space()
+        by_key = {(s.workload_id, s.signature): s for s in fleet}
+
+        def build(workload_id: str, signature: str) -> CentroidLearning:
+            session = by_key[(workload_id, signature)]
+            odd = session.workload_index % 2 == 1
+            return CentroidLearning(
+                space, seed=session.optimizer_seed(seed),
+                guardrail=Guardrail() if odd else None,
+                switch_detector=(TaskSwitchDetector(warmup=4, threshold=4.0, size_jump=3.0)
+                                 if odd else None),
+                safe_gate=SafeExplorationGate() if odd else None,
+            )
+        return build
 
     def backend_factory(root):
         def build(shard_id: str) -> AutotuneBackend:
@@ -868,7 +885,7 @@ def diff_sharded_single(
         fleet = build_fleet(n_workloads, seed=seed)
         service = ShardedAutotuneService(
             arm_shards,
-            default_optimizer_factory(fleet, base_seed=seed),
+            optimizer_factory(fleet),
             coalesce=coalesce,
             backend_factory=backend_factory(root) if events else None,
             user_id_fn=fleet_user_map(fleet),

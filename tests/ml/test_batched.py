@@ -1,11 +1,11 @@
 """Bit-identity contract of :mod:`repro.ml.batched`, pinned per primitive.
 
-The lock-step session engine replaces K scalar model fits per step with one
-batched fit; the replacement is only sound because every batched operation
-below is *bitwise* identical per slice to the scalar path it replaces (the
-GP block solve is the documented atol exception).  These tests pin each
-primitive in isolation so an engine-level divergence can be bisected to the
-operation that drifted.
+The lock-step session engine and the service's batched drain replace K
+scalar model fits per step with one batched fit; the replacement is only
+sound because every batched operation below is *bitwise* identical per
+slice to the scalar path it replaces.  These tests pin each primitive in
+isolation so an engine-level divergence can be bisected to the operation
+that drifted.
 
 Two RNG/encoding primitives the engine also relies on are pinned here too:
 
@@ -20,15 +20,18 @@ Two RNG/encoding primitives the engine also relies on are pinned here too:
 import numpy as np
 import pytest
 
+from repro.core.find_best import (
+    cached_window_model,
+    fit_window_model,
+    remember_window_model,
+)
+from repro.core.observation import Observation, ObservationWindow
 from repro.ml.batched import (
     BatchedRidgePipeline,
-    batched_gp_posterior,
     fit_ridge_pipeline,
     ols_predict,
     polynomial_features_batch,
 )
-from repro.ml.gp import GaussianProcessRegressor
-from repro.ml.kernels import Matern52Kernel
 from repro.ml.linear import PolynomialFeatures, RidgeRegression
 from repro.ml.scaler import Pipeline, StandardScaler
 from repro.sparksim.configs import query_level_space
@@ -113,6 +116,44 @@ class TestFitRidgePipeline:
         assert np.array_equal(target.intercept[idx], full.intercept[idx])
         assert np.all(target.coef[0] == 0.0)
 
+    @pytest.mark.parametrize("interaction_only", [False, True])
+    def test_memoized_pipeline_at_matches_fresh_scalar_fit(self, interaction_only):
+        # The service's batched drain stores slice k in the window-model
+        # memo; a later fit_window_model on that window must return it and
+        # it must predict exactly like a fresh scalar fit.
+        rng = np.random.default_rng(7)
+        space = query_level_space()
+        windows = []
+        for _ in range(3):
+            window = ObservationWindow(10)
+            for t in range(6):
+                window.append(Observation(
+                    config=rng.uniform(0, 1, size=space.dim), data_size=100.0 + t,
+                    performance=float(rng.uniform(5, 10)), iteration=t,
+                ))
+            windows.append(window)
+
+        def factory():
+            return scalar_pipeline(0.5, interaction_only=interaction_only)
+
+        fitted = fit_ridge_pipeline(
+            np.stack([w.design_matrix() for w in windows]),
+            np.stack([w.performances() for w in windows]),
+            np.full(3, 0.5), interaction_only=interaction_only,
+        )
+        queries = rng.uniform(0, 1, size=(5, space.dim + 1))
+        for k, window in enumerate(windows):
+            stored = remember_window_model(window, factory, fitted.pipeline_at(k))
+            assert fit_window_model(window, factory) is stored
+            fresh = factory().fit(window.design_matrix(), window.performances())
+            assert np.array_equal(stored.predict(queries), fresh.predict(queries))
+        restacked = BatchedRidgePipeline.stack([fitted.pipeline_at(k) for k in range(3)])
+        stacked_queries = np.stack([queries] * 3)
+        assert np.array_equal(restacked.predict(stacked_queries), fitted.predict(stacked_queries))
+        # The memo is per version: the next observation invalidates it.
+        windows[0].append(windows[0].latest)
+        assert cached_window_model(windows[0], factory) is None
+
 
 class TestOlsPredict:
     def test_scalar_call_is_a_batched_slice_bitwise(self, window):
@@ -136,33 +177,6 @@ class TestOlsPredict:
         y = 2.0 * X[:, 0] + 1.0
         queries = np.array([[0.0, 7.0], [1.0, 7.0]])
         assert np.allclose(ols_predict(X, y, queries), [1.0, 3.0], atol=1e-6)
-
-
-class TestBatchedGpPosterior:
-    def test_matches_per_session_refits_within_atol(self, batch_rng):
-        B, n, f, m = 4, 12, 3, 6
-        X = batch_rng.uniform(-1.0, 1.0, size=(n, f))
-        Y = batch_rng.normal(size=(B, n))
-        X_star = batch_rng.uniform(-1.0, 1.0, size=(m, f))
-        template = GaussianProcessRegressor(
-            kernel=Matern52Kernel(), noise=1e-3,
-            normalize_y=True, optimize_hypers=False,
-        )
-        means, stds = batched_gp_posterior(template, X, Y, X_star)
-        for b in range(B):
-            gp = GaussianProcessRegressor(
-                kernel=Matern52Kernel(), noise=1e-3,
-                normalize_y=True, optimize_hypers=False,
-            ).fit(X, Y[b])
-            mean_b, std_b = gp.predict_with_std(X_star)
-            assert np.allclose(means[b], mean_b, atol=1e-8)
-            assert np.allclose(stds[b], std_b, atol=1e-6)
-
-    def test_rejects_mismatched_target_shape(self, batch_rng):
-        template = GaussianProcessRegressor(optimize_hypers=False)
-        X = batch_rng.normal(size=(5, 2))
-        with pytest.raises(ValueError, match="shape"):
-            batched_gp_posterior(template, X, batch_rng.normal(size=(3, 4)), X[:2])
 
 
 class TestEnginePrimitives:

@@ -7,7 +7,11 @@ import pytest
 
 from repro import telemetry
 from repro.core.centroid import CentroidLearning
+from repro.core.guardrail import Guardrail
 from repro.core.observation import Observation
+from repro.core.switch import SafeExplorationGate, TaskSwitchDetector
+from repro.ml.linear import PolynomialFeatures, RidgeRegression
+from repro.ml.scaler import Pipeline, StandardScaler
 from repro.service.admission import Priority, ShedError
 from repro.service.sessions import TenantSessionHost
 from repro.service.sharded import ShardedAutotuneService, TuneRequest
@@ -29,9 +33,33 @@ def optimizer_factory(workload_id: str, signature: str) -> CentroidLearning:
     return CentroidLearning(SPACE, seed=seed_of(workload_id, signature))
 
 
-def fresh_service(n_shards=3, **kwargs):
+def production_factory(workload_id: str, signature: str) -> CentroidLearning:
+    """Odd workloads carry the paper guardrail, a switch detector and the safe gate."""
+    extras = {}
+    if int(workload_id.rsplit("-", 1)[1]) % 2:
+        extras = dict(
+            guardrail=Guardrail(),
+            switch_detector=TaskSwitchDetector(warmup=4, threshold=4.0, size_jump=3.0),
+            safe_gate=SafeExplorationGate(),
+        )
+    return CentroidLearning(SPACE, seed=seed_of(workload_id, signature), **extras)
+
+
+def no_intercept_factory(workload_id: str, signature: str) -> CentroidLearning:
+    def window_model():
+        return Pipeline([
+            ("scale", StandardScaler()),
+            ("poly", PolynomialFeatures(degree=2)),
+            ("ridge", RidgeRegression(alpha=1.0, fit_intercept=False)),
+        ])
+    return CentroidLearning(
+        SPACE, model_factory=window_model, seed=seed_of(workload_id, signature)
+    )
+
+
+def fresh_service(n_shards=3, factory=optimizer_factory, **kwargs):
     kwargs.setdefault("queue_capacity", 256)
-    return ShardedAutotuneService(n_shards, optimizer_factory, **kwargs)
+    return ShardedAutotuneService(n_shards, factory, **kwargs)
 
 
 def observation_for(vector, iteration):
@@ -91,10 +119,27 @@ class TestRouting:
 
 
 class TestBatchedDrainEquivalence:
-    def test_coalesced_equals_scalar_trails(self):
-        batched = drive(fresh_service(coalesce=True), WORKLOADS)
-        scalar = drive(fresh_service(n_shards=1, coalesce=False), WORKLOADS)
+    @pytest.mark.parametrize("factory", [optimizer_factory, production_factory])
+    def test_coalesced_equals_scalar_trails(self, factory):
+        coalesced = fresh_service(factory=factory, coalesce=True)
+        batched = drive(coalesced, WORKLOADS)
+        scalar = drive(fresh_service(n_shards=1, factory=factory, coalesce=False), WORKLOADS)
         assert batched == scalar
+        # Production-shaped tenants are batched too, not served one by one.
+        assert all(s.batch_profile is not None for s in coalesced.sessions().values())
+
+    def test_window_model_without_intercept_is_served_request_by_request(self):
+        # The batched fit always fits an intercept, so a ridge window model
+        # with fit_intercept=False must not be batched.
+        workloads = WORKLOADS[:6]
+        coalesced = fresh_service(n_shards=2, factory=no_intercept_factory)
+        batched = drive(coalesced, workloads, n_iterations=8)
+        scalar = drive(
+            fresh_service(n_shards=1, factory=no_intercept_factory, coalesce=False),
+            workloads, n_iterations=8,
+        )
+        assert batched == scalar
+        assert all(s.batch_profile is None for s in coalesced.sessions().values())
 
     def test_distinct_session_runs_split_repeats(self):
         batch = [
