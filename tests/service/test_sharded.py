@@ -119,14 +119,21 @@ class TestRouting:
 
 
 class TestBatchedDrainEquivalence:
-    @pytest.mark.parametrize("factory", [optimizer_factory, production_factory])
-    def test_coalesced_equals_scalar_trails(self, factory):
+    @staticmethod
+    def assert_coalesced_equals_scalar(factory):
         coalesced = fresh_service(factory=factory, coalesce=True)
         batched = drive(coalesced, WORKLOADS)
         scalar = drive(fresh_service(n_shards=1, factory=factory, coalesce=False), WORKLOADS)
         assert batched == scalar
-        # Production-shaped tenants are batched too, not served one by one.
         assert all(s.batch_profile is not None for s in coalesced.sessions().values())
+
+    def test_coalesced_equals_scalar_trails(self):
+        self.assert_coalesced_equals_scalar(optimizer_factory)
+
+    def test_coalesced_equals_scalar_trails_with_production_tenants(self):
+        # Guardrailed, switch-detecting and safe-gated tenants are batched
+        # too, not served one by one.
+        self.assert_coalesced_equals_scalar(production_factory)
 
     def test_window_model_without_intercept_is_served_request_by_request(self):
         # The batched fit always fits an intercept, so a ridge window model
