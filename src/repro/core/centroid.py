@@ -17,6 +17,7 @@ the default configuration when sustained regressions are predicted.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ from .candidates import generate_candidates
 from .config_space import ConfigSpace
 from .find_best import FindBestMode, find_best, fit_window_model, ranking_rows
 from .gradient import (
-    gradient_rows, linear_sign_gradient, ml_sign_gradient, sign_gradient,
+    gradient_rows, linear_sign_gradient, ml_sign_gradient, probe_points, sign_gradient,
 )
 from .guardrail import Guardrail
 from .observation import Observation, ObservationWindow, feature_rows
@@ -37,7 +38,8 @@ from .optimizer_base import Optimizer
 from .selectors import CandidateSelector, SurrogateSelector
 from .switch import SafeExplorationGate, TaskSwitchDetector
 
-__all__ = ["CentroidLearning", "default_window_model_factory"]
+__all__ = ["BatchProfile", "CentroidLearning", "batch_profile_for",
+           "default_window_model_factory"]
 
 
 def default_window_model_factory() -> Regressor:
@@ -368,23 +370,36 @@ class CentroidLearning(Optimizer):
         self._n_updates = 0
         if self.guardrail is not None:
             self.guardrail.reset()
-        if self.switch_warm_start is not None:
-            try:
-                vector = self.switch_warm_start(obs)
-            except Exception:  # noqa: BLE001 — a lost warm start beats a lost session
-                telemetry.counter("switch.warm_start_failures").inc()
-                vector = None
-            if vector is not None:
-                self._centroid = self.space.clip(np.asarray(vector, dtype=float))
-                telemetry.counter("switch.warm_starts").inc()
+        self._centroid = self._warm_start_centroid(obs, self._centroid)
+        self._count_reanchor(obs.iteration, decision, self._centroid)
+
+    # The lock-step engine re-anchors its struct-of-arrays state itself and
+    # shares these two halves of the policy with :meth:`_re_anchor`.
+
+    def _warm_start_centroid(self, obs: Observation, centroid: np.ndarray) -> np.ndarray:
+        """The new regime's centroid: ``switch_warm_start``'s vector, else ``centroid``."""
+        if self.switch_warm_start is None:
+            return centroid
+        try:
+            vector = self.switch_warm_start(obs)
+        except Exception:  # noqa: BLE001 — a lost warm start beats a lost session
+            telemetry.counter("switch.warm_start_failures").inc()
+            return centroid
+        if vector is None:
+            return centroid
+        telemetry.counter("switch.warm_starts").inc()
+        return self.space.clip(np.asarray(vector, dtype=float))
+
+    def _count_reanchor(self, iteration: int, decision, centroid: np.ndarray) -> None:
+        """The ``switch.reanchors`` counter and ``switch.reanchor`` event."""
         self.reanchor_count += 1
         telemetry.counter("switch.reanchors", reason=decision.reason).inc()
         telemetry.emit(
             "switch.reanchor",
-            iteration=obs.iteration,
+            iteration=iteration,
             reason=decision.reason,
             statistic=decision.statistic,
-            centroid=self._centroid.tolist(),
+            centroid=centroid.tolist(),
         )
 
     @property
@@ -419,14 +434,8 @@ class CentroidLearning(Optimizer):
         """``e_{t+1} = c* ⊖ α·Δ`` and its ``centroid.update`` span/counters."""
         with telemetry.span("centroid.update", iteration=latest.iteration) as tspan:
             alpha = self.effective_alpha
-            bounds = self.space.internal_bounds
-            span = bounds[:, 1] - bounds[:, 0]
-            if self.probe == "multiplicative":
-                new_centroid = c_star * (1.0 - alpha * delta)
-            else:
-                new_centroid = c_star - alpha * delta * span
             before = self._centroid
-            self._centroid = self.space.clip(new_centroid)
+            self._centroid = probe_points(self.space, c_star, delta, alpha, self.probe)
             self._n_updates += 1
             self._last_gradient = np.asarray(delta, dtype=float)
             self._last_best = np.asarray(c_star, dtype=float)
@@ -441,3 +450,33 @@ class CentroidLearning(Optimizer):
                 tspan.set_attr("c_star", self._last_best.tolist())
                 tspan.set_attr("sign_gradient", self._last_gradient.tolist())
                 tspan.set_attr("move_norm", move)
+
+
+@dataclass(frozen=True)
+class BatchProfile:
+    """The window-model hyperparameters a batched fit needs."""
+
+    alpha: float
+    degree: int
+    interaction_only: bool
+
+
+def batch_profile_for(optimizer: Optimizer) -> Optional[BatchProfile]:
+    """A :class:`BatchProfile` for a ``CentroidLearning`` whose window model
+    is ``StandardScaler → PolynomialFeatures → RidgeRegression(fit_intercept=True)``
+    — the model :func:`repro.ml.batched.fit_ridge_pipeline` reproduces
+    bitwise — else ``None``.  The one test of "batchable window model" for the
+    service's coalesced drains and the lock-step engine."""
+    if type(optimizer) is not CentroidLearning:
+        return None
+    try:
+        model = optimizer.model_factory()
+    except Exception:  # noqa: BLE001 — an exploding factory is "not batchable"
+        return None
+    steps = [step for _, step in model.steps] if type(model) is Pipeline else []
+    if [type(step) for step in steps] != [StandardScaler, PolynomialFeatures, RidgeRegression]:
+        return None
+    _, poly, ridge = steps
+    if not ridge.fit_intercept:
+        return None
+    return BatchProfile(float(ridge.alpha), int(poly.degree), bool(poly.interaction_only))

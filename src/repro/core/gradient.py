@@ -64,25 +64,27 @@ def probe_points(
     space: ConfigSpace,
     c_star: np.ndarray,
     deltas: np.ndarray,
-    alpha: float,
+    alpha,
     probe: str = "span",
 ) -> np.ndarray:
-    """Probe configurations for the candidate gradients ``deltas``.
+    """Probe configurations ``c* ⊖ α·δ`` for the candidate gradients ``deltas``.
 
     ``probe="span"``:           ``clip(c* − α·δ·span)``
     ``probe="multiplicative"``: ``clip(c*·(1 − α·δ))`` (Eq. 6 literal)
+
+    Plain NumPy broadcasting of ``c_star``, ``deltas`` and ``alpha``: the
+    Eq.-6 probes pass the whole sign set as ``deltas``, the Alg.-1 move its
+    one winning ``Δ``, and K sessions at once add a leading session axis.
+    The result is clipped in place.
     """
-    c_star = np.asarray(c_star, dtype=float)
-    deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
+    bounds = space.internal_bounds
     if probe == "span":
-        bounds = space.internal_bounds
-        span = bounds[:, 1] - bounds[:, 0]
-        points = c_star[None, :] - alpha * deltas * span[None, :]
+        points = c_star - alpha * deltas * (bounds[:, 1] - bounds[:, 0])
     elif probe == "multiplicative":
-        points = c_star[None, :] * (1.0 - alpha * deltas)
+        points = c_star * (1.0 - alpha * deltas)
     else:
         raise ValueError(f"unknown probe geometry {probe!r}")
-    return space.clip(points)
+    return np.clip(points, bounds[:, 0], bounds[:, 1], out=points)
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,22 +105,29 @@ def _candidate_deltas(dim: int) -> np.ndarray:
 def gradient_rows(
     space: ConfigSpace,
     c_star: np.ndarray,
-    data_size: float,
-    alpha: float,
+    data_size,
+    alpha,
     probe: str = "span",
 ) -> np.ndarray:
-    """The ``[probe(c*, δ), p]`` rows Eq. 6 scores with ``H``, one per δ ∈ D."""
+    """The ``[probe(c*, δ), p]`` rows Eq. 6 scores with ``H``, one per δ ∈ D.
+
+    Broadcasts over leading session axes: ``(..., d)`` ``c_star`` with
+    ``(...)``-shaped ``data_size`` and ``alpha`` give ``(..., |D|, d + 1)``.
+    """
     deltas = _candidate_deltas(space.dim)
+    if isinstance(alpha, np.ndarray):  # per session: every δ from each c*
+        c_star, alpha = c_star[..., None, :], alpha[..., None, None]
     return feature_rows(probe_points(space, c_star, deltas, alpha, probe), data_size)
 
 
 def sign_gradient(dim: int, predictions: np.ndarray) -> np.ndarray:
-    """Eq. 7's ``argmin_{δ∈D}`` given ``H`` at :func:`gradient_rows`."""
+    """Eq. 7's ``argmin_{δ∈D}`` given ``H`` at :func:`gradient_rows`
+    (per session, over a leading session axis of ``predictions``)."""
     if dim <= _MAX_ENUM_DIM:
-        return _candidate_deltas(dim)[int(np.argmin(predictions))].copy()
+        return _candidate_deltas(dim)[predictions.argmin(axis=-1)].copy()
     # Coordinate-wise combination: for each dim pick the sign whose single-
     # coordinate probe predicted lower time.
-    return np.where(predictions[:dim] <= predictions[dim:], 1.0, -1.0)
+    return np.where(predictions[..., :dim] <= predictions[..., dim:], 1.0, -1.0)
 
 
 def ml_sign_gradient(

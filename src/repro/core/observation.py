@@ -108,9 +108,14 @@ class ObservationWindow:
         return np.array([o.data_size for o in self._history])
 
 
-def feature_rows(configs, data_size: float) -> np.ndarray:
-    """Window-model rows ``[c, p]``: each config (at least one) with size ``p``."""
-    rows = np.empty((len(configs), len(configs[0]) + 1))
-    rows[:, :-1] = configs
-    rows[:, -1] = data_size
+def feature_rows(configs, data_size) -> np.ndarray:
+    """Window-model rows ``[c, p]``: each config (at least one) with size ``p``.
+
+    Broadcasts over leading session axes: ``(..., n, d)`` configs with a
+    scalar or ``(...)``-shaped ``data_size`` give ``(..., n, d + 1)`` rows.
+    """
+    configs = np.asarray(configs, dtype=float)
+    rows = np.empty(configs.shape[:-1] + (configs.shape[-1] + 1,))
+    rows[..., :-1] = configs
+    rows[..., -1] = data_size[..., None] if isinstance(data_size, np.ndarray) else data_size
     return rows

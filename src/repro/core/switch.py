@@ -41,8 +41,10 @@ selection, so the *expected* per-step regret against the default stays
 bounded while tuning continues.  When no candidate passes, the default
 itself is suggested.
 
-Both are wired through the lock-step engine with per-session vectorized
-state — K-session fleets stay bit-identical to sequential sessions
+Every engine runs each session's own detector and gate: the scalar
+session, the service's coalesced drains and the lock-step fleet engine
+all call :meth:`TaskSwitchDetector.update` and
+:meth:`SafeExplorationGate.safe_mask` on the session's instances
 (``repro.verify.diff.diff_switch_inert`` and ``diff_lockstep_sequential``
 pin the contract).
 """
@@ -90,23 +92,10 @@ class SwitchDecision:
     reason: str
 
 
-def _record_detection(decision: SwitchDecision) -> None:
-    """Telemetry for one detection — shared by the scalar and lock-step paths."""
-    telemetry.counter("switch.detections", reason=decision.reason).inc()
-    telemetry.emit(
-        "switch.detect",
-        iteration=decision.iteration,
-        reason=decision.reason,
-        statistic=decision.statistic,
-        bound=decision.bound,
-    )
-
-
 class TaskSwitchDetector:
     """Online change-point detector over a session's observation stream.
 
-    Deterministic (no RNG) and cheap (O(1) state per update), so the
-    lock-step engine can mirror it exactly in struct-of-arrays form.
+    Deterministic (no RNG) and cheap (O(1) state per update).
 
     Args:
         warmup: observations after each anchor that freeze the reference
@@ -276,7 +265,14 @@ class TaskSwitchDetector:
         self._anchor_size = data_size
         if embedding is not None:
             self._anchor_embedding = np.array(embedding, dtype=float)
-        _record_detection(decision)
+        telemetry.counter("switch.detections", reason=reason).inc()
+        telemetry.emit(
+            "switch.detect",
+            iteration=iteration,
+            reason=reason,
+            statistic=decision.statistic,
+            bound=bound,
+        )
         return decision
 
     # -- persistence -------------------------------------------------------------
@@ -358,8 +354,7 @@ class SafeExplorationGate:
         """Return the safe subset of ``candidates`` (or the default row).
 
         ``model`` is the window model ``H(c, p)`` — the exact (memoized)
-        fit the selector scores with, so the gate adds no extra fits and
-        the lock-step mirror stays bitwise.
+        fit the selector scores with, so the gate adds no extra fits.
         """
         rows = self.rows(candidates, data_size, default_vector)
         return self.choose(candidates, model.predict(rows), default_vector)

@@ -19,7 +19,7 @@ from ..core.centroid import CentroidLearning
 from ..sparksim.configs import query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..workloads.customer import CustomerWorkload, generate_population
-from .lockstep import LockstepSessions, SessionSpec, run_sequential
+from .lockstep import LockstepSessions, SessionSpec
 from .parallel import parallel_map
 from .runner import ExperimentResult
 
@@ -69,27 +69,19 @@ def tune_workload(
     n_iterations: int,
     seed: int,
     guardrail_factory=None,
-    engine: str = "lockstep",
 ) -> dict:
     """Tune every query of one recurring notebook; returns summary stats.
 
-    The notebook's queries run as a lock-step population by default
-    (``engine="lockstep"``); ``engine="sequential"`` drives the identical
-    :class:`~repro.core.session.TuningSession` loop per query and is
-    bit-identical by the engine's contract (the differential oracle in
-    :mod:`repro.verify.diff` pins this).
+    The notebook's queries run as one lock-step population, bit-identical
+    to driving each query's :class:`~repro.core.session.TuningSession`
+    (the differential oracle in :mod:`repro.verify.diff` pins this).
 
     Returns a dict with ``speedup_pct`` (first vs last window, normalized by
     data scale), ``disabled`` (guardrail fired on any query), and
     ``n_queries``.
     """
-    if engine not in ("lockstep", "sequential"):
-        raise ValueError(f"unknown engine {engine!r}")
     specs = workload_specs(workload, seed, guardrail_factory)
-    if engine == "lockstep":
-        traces = LockstepSessions(specs).run(n_iterations)
-    else:
-        traces = run_sequential(specs, n_iterations)
+    traces = LockstepSessions(specs).run(n_iterations)
 
     scales = np.array([workload.data_scale(t) for t in range(n_iterations)])
     if workload.pathology == "drift":

@@ -26,49 +26,51 @@ sequentially.  The ingredients:
   :class:`~repro.faults.injectors.FaultySimulator` wrapper), which applies
   exactly the per-run noise/fault tail of ``run()`` to precomputed true
   times;
-* per-session task-switch state (:class:`_SwitchState`): the
-  :class:`~repro.core.switch.TaskSwitchDetector` CUSUM recursion runs
-  vectorized across sessions, while rare events (warmup freezes,
-  detections, re-anchors, warm-start consults) drop to per-session loops
-  replaying the scalar arithmetic — sessions that fire at different steps
-  keep ragged window/guardrail epochs (``_win_start``/``_gr_start``) that
-  the suggest, guardrail and centroid phases group by length;
-* :class:`~repro.core.switch.SafeExplorationGate` masking applied to the
-  batched candidate scores (``-inf`` at rejected candidates is
-  argmax-equivalent to the scalar gate's subset selection).
+* core's own Alg.-1 arithmetic — ``feature_rows``, ``gradient_rows``,
+  ``sign_gradient`` and ``probe_points`` broadcast over a session axis.
+
+Struct-of-arrays state exists only where the engine batches: candidate
+draws and scoring, the cost kernel, window-model fits, the guardrail trend
+solve and the centroid update — work whose K scalar calls would cost more
+than the step.  The rest runs on each session's own objects: an armed
+session calls its own :class:`~repro.core.switch.TaskSwitchDetector`,
+re-anchors through :class:`CentroidLearning`'s warm-start and counter
+helpers and its real guardrail's ``reset()``, and a gated session's
+candidates are masked by its own
+:meth:`~repro.core.switch.SafeExplorationGate.safe_mask` (``-inf`` at a
+rejected candidate is argmax-equivalent to the scalar gate's subset
+selection).  Sessions re-anchoring at different steps keep ragged
+window/guardrail epochs (``_win_start``/``_gr_start``) that the suggest,
+guardrail and centroid phases group by length.  So detectors may arm some
+sessions only, with per-session parameters; gate bounds may differ; and
+spaces of any dimension run (beyond 12 knobs the sign search is core's
+coordinate-wise one).
 
 ``repro.verify.diff.diff_lockstep_sequential`` pins the contract end to
 end on fig15-style populations; Hypothesis properties in
 ``tests/verify/test_properties.py`` pin the K=1 reduction and permutation
-invariance.
-
-Sessions whose optimizers fall outside the vectorizable envelope (non-CL
-optimizers, robust guardrails, custom selectors, ...) raise
+invariance.  Populations outside the batched envelope (non-CL optimizers,
+robust guardrails, custom selectors, ...) raise
 :class:`LockstepCompatibilityError` — callers fall back to the sequential
 path rather than silently getting different numbers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .. import telemetry
-from ..core.centroid import CentroidLearning
+from ..core.centroid import CentroidLearning, batch_profile_for
 from ..core.find_best import FindBestMode
+from ..core.gradient import gradient_rows, probe_points, sign_gradient
 from ..core.guardrail import Guardrail, GuardrailDecision
-from ..core.observation import Observation
+from ..core.observation import Observation, ObservationWindow, feature_rows
 from ..core.selectors import SurrogateSelector
 from ..core.session import IterationRecord, TuningSession, TuningTrace
-from ..core.switch import (
-    SafeExplorationGate,
-    SwitchDecision,
-    TaskSwitchDetector,
-    _record_detection,
-)
+from ..core.switch import SafeExplorationGate, TaskSwitchDetector
 from ..ml.acquisition import (
     ExpectedImprovement,
     LowerConfidenceBound,
@@ -76,8 +78,6 @@ from ..ml.acquisition import (
     ProbabilityOfImprovement,
 )
 from ..ml.batched import BatchedRidgePipeline, fit_ridge_pipeline, ols_predict
-from ..ml.linear import PolynomialFeatures, RidgeRegression
-from ..ml.scaler import Pipeline, StandardScaler
 
 __all__ = [
     "LockstepCompatibilityError",
@@ -95,11 +95,6 @@ _ELEMENTWISE_ACQUISITIONS = (
     ProbabilityOfImprovement,
     LowerConfidenceBound,
 )
-
-# Beyond this many knobs the 2^d gradient sign enumeration that the engine
-# mirrors (repro.core.gradient._MAX_ENUM_DIM) switches to a coordinate-wise
-# search the engine does not replicate.
-_MAX_ENUM_DIM = 12
 
 
 class LockstepCompatibilityError(ValueError):
@@ -152,8 +147,7 @@ class _Uniform:
     degree: int
     interaction_only: bool
     guardrail: Optional[Guardrail]  # parameter template (state lives in SoA)
-    detector: Optional[TaskSwitchDetector] = None  # parameter template
-    gate: Optional[SafeExplorationGate] = None
+    gate_min_obs: Optional[int]  # None: no safe gates
 
 
 @dataclass
@@ -164,28 +158,7 @@ class _GuardrailState:
     disabled: np.ndarray
     since_disable: np.ndarray
     reenable_count: np.ndarray
-    reset_count: np.ndarray
     decisions: List[List[GuardrailDecision]] = field(default_factory=list)
-
-
-@dataclass
-class _SwitchState:
-    """Per-session task-switch-detector state, struct-of-arrays.
-
-    Mirrors :class:`~repro.core.switch.TaskSwitchDetector` field for field;
-    ``nan`` stands in for the scalar detector's ``None`` (unset reference /
-    anchor).  ``reanchors`` tracks the owning optimizer's ``reanchor_count``.
-    """
-
-    n: np.ndarray
-    block: np.ndarray  # (K, warmup) warmup scratch
-    ref_mean: np.ndarray
-    ref_scale: np.ndarray
-    g: np.ndarray
-    anchor_size: np.ndarray
-    switch_counts: np.ndarray
-    reanchors: np.ndarray
-    decisions: List[List[SwitchDecision]] = field(default_factory=list)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -247,7 +220,7 @@ class LockstepSessions:
         """Validate and build the optimizer-state SoA shared by all drivers."""
         self.k = len(opts)
         self._opts = opts
-        self._u = self._validate(opts)
+        self._u, profiles = self._validate(opts)
         u = self._u
         self.space = opts[0].space
         self.dim = self.space.dim
@@ -256,17 +229,12 @@ class LockstepSessions:
         self._ub = bounds[:, 1].copy()
         self._span = self._ub - self._lb
         self._default = self.space.default_vector()
-        self._deltas = np.array(
-            list(itertools.product((1.0, -1.0), repeat=self.dim))
-        )
 
         # Per-session scalar hyperparameters (allowed to vary).
         self._alphas = np.array([o.alpha for o in opts])
         self._alpha_decays = np.array([o.alpha_decay for o in opts])
         self._betas = np.array([o.beta for o in opts])
-        self._ridge_alphas = np.array(
-            [o.model_factory().steps[-1][1].alpha for o in opts]
-        )
+        self._ridge_alphas = np.array([p.alpha for p in profiles])
         self._rngs = [o._rng for o in opts]
         # Prebound per-session callables: the per-step Python floor is one
         # raw-double draw plus one observe_true call per session, so shaving
@@ -307,7 +275,6 @@ class LockstepSessions:
                 disabled=np.zeros(self.k, dtype=bool),
                 since_disable=np.zeros(self.k, dtype=int),
                 reenable_count=np.zeros(self.k, dtype=int),
-                reset_count=np.zeros(self.k, dtype=int),
                 decisions=[[] for _ in range(self.k)],
             )
         else:
@@ -322,23 +289,7 @@ class LockstepSessions:
         self._win_start = np.zeros(self.k, dtype=int)
         self._gr_start = np.zeros(self.k, dtype=int)
         self._synced_start = np.zeros(self.k, dtype=int)
-        self._warm_starts = [
-            getattr(o, "switch_warm_start", None) for o in opts
-        ]
-        if u.detector is not None:
-            self._sws: Optional[_SwitchState] = _SwitchState(
-                n=np.zeros(self.k, dtype=int),
-                block=np.zeros((self.k, u.detector.warmup)),
-                ref_mean=np.full(self.k, np.nan),
-                ref_scale=np.full(self.k, np.nan),
-                g=np.zeros(self.k),
-                anchor_size=np.full(self.k, np.nan),
-                switch_counts=np.zeros(self.k, dtype=int),
-                reanchors=np.zeros(self.k, dtype=int),
-                decisions=[[] for _ in range(self.k)],
-            )
-        else:
-            self._sws = None
+        self._armed = [k for k, o in enumerate(opts) if o.switch_detector is not None]
 
         # Step-indexed history buffers, grown on demand.
         self._t = 0
@@ -352,22 +303,19 @@ class LockstepSessions:
 
     # -- validation --------------------------------------------------------------
 
-    def _validate(self, opts: Sequence[CentroidLearning]) -> _Uniform:
+    def _validate(self, opts: Sequence[CentroidLearning]):
+        """The population's uniform hyperparameters and per-session
+        window-model profiles (raises when lock-step cannot reproduce it)."""
         first = opts[0]
-        det0 = getattr(first, "switch_detector", None)
-        gate0 = getattr(first, "safe_gate", None)
         _require(
             type(first) is CentroidLearning,
             f"lock-step supports CentroidLearning, got {type(first).__name__}",
         )
         space = first.space
-        _require(
-            space.dim <= _MAX_ENUM_DIM,
-            f"lock-step mirrors the 2^d gradient enumeration; "
-            f"dim {space.dim} > {_MAX_ENUM_DIM}",
-        )
         sel0 = first.selector
         gr0 = first.guardrail
+        gate0 = first.safe_gate
+        profiles = []
         for opt in opts:
             _require(
                 type(opt) is CentroidLearning,
@@ -378,32 +326,25 @@ class LockstepSessions:
                 opt.gradient_mode == "ml",
                 f"lock-step supports gradient_mode='ml', got {opt.gradient_mode!r}",
             )
-            _require(opt.probe == first.probe, "probe geometry must be uniform")
             _require(
                 opt.probe in ("span", "multiplicative"),
                 f"unknown probe geometry {opt.probe!r}",
             )
-            _require(
-                opt.observations.window_size == first.observations.window_size,
-                "window_size must be uniform",
-            )
-            _require(
-                opt.n_candidates == first.n_candidates,
-                "n_candidates must be uniform",
-            )
-            _require(
-                opt.find_best_mode is first.find_best_mode,
-                "find_best_mode must be uniform",
-            )
-            _require(
-                opt.min_update_observations == first.min_update_observations,
-                "min_update_observations must be uniform",
-            )
+            for what, mine, theirs in (
+                ("probe geometry", opt.probe, first.probe),
+                ("window_size", opt.observations.window_size,
+                 first.observations.window_size),
+                ("n_candidates", opt.n_candidates, first.n_candidates),
+                ("find_best_mode", opt.find_best_mode, first.find_best_mode),
+                ("min_update_observations", opt.min_update_observations,
+                 first.min_update_observations),
+            ):
+                _require(mine == theirs, f"{what} must be uniform")
+            sel = opt.selector
             _require(
                 len(opt.observations) == 0 and opt._n_updates == 0,
                 "lock-step requires fresh optimizers (empty windows)",
             )
-            sel = opt.selector
             _require(
                 type(sel) is SurrogateSelector,
                 f"lock-step supports SurrogateSelector, got {type(sel).__name__}",
@@ -414,16 +355,13 @@ class LockstepSessions:
                 "selector must share the optimizer's model factory",
             )
             _require(
-                sel.min_observations == sel0.min_observations,
-                "selector min_observations must be uniform",
-            )
-            _require(
                 isinstance(sel.acquisition, _ELEMENTWISE_ACQUISITIONS),
                 f"unsupported acquisition {type(sel.acquisition).__name__}",
             )
             _require(
-                sel.acquisition == sel0.acquisition,
-                "acquisition functions must be uniform",
+                (sel.min_observations, sel.acquisition)
+                == (sel0.min_observations, sel0.acquisition),
+                "selector min_observations and acquisition must be uniform",
             )
             _require(
                 (opt.guardrail is None) == (gr0 is None),
@@ -446,11 +384,7 @@ class LockstepSessions:
                         gr0.fit_window, gr0.cooldown),
                     "guardrail parameters must be uniform",
                 )
-            det = getattr(opt, "switch_detector", None)
-            _require(
-                (det is None) == (det0 is None),
-                "switch detectors must be all absent or all present",
-            )
+            det = opt.switch_detector
             if det is not None:
                 _require(
                     type(det) is TaskSwitchDetector,
@@ -461,15 +395,7 @@ class LockstepSessions:
                     det.n_since_anchor == 0 and det.switch_count == 0,
                     "lock-step requires fresh switch detectors",
                 )
-                _require(
-                    (det.warmup, det.threshold, det.drift, det.clip,
-                     det.min_rel_scale, det.size_jump, det.embedding_jump)
-                    == (det0.warmup, det0.threshold, det0.drift, det0.clip,
-                        det0.min_rel_scale, det0.size_jump,
-                        det0.embedding_jump),
-                    "switch-detector parameters must be uniform",
-                )
-            gate = getattr(opt, "safe_gate", None)
+            gate = opt.safe_gate
             _require(
                 (gate is None) == (gate0 is None),
                 "safe gates must be all absent or all present",
@@ -481,51 +407,36 @@ class LockstepSessions:
                     f"got {type(gate).__name__}",
                 )
                 _require(
-                    (gate.bound, gate.min_observations)
-                    == (gate0.bound, gate0.min_observations),
-                    "safe-gate parameters must be uniform",
+                    gate.min_observations == gate0.min_observations,
+                    "safe-gate min_observations must be uniform",
                 )
-        if det0 is not None:
-            ids = {id(getattr(o, "switch_detector", None)) for o in opts}
+            profile = batch_profile_for(opt)
             _require(
-                len(ids) == len(opts),
-                "each session needs its own TaskSwitchDetector instance",
-            )
-        degree = interaction_only = None
-        for opt in opts:
-            model = opt.model_factory()
-            _require(
-                isinstance(model, Pipeline) and len(model.steps) == 3,
-                "model factory must build a scale→poly→ridge Pipeline",
-            )
-            scale_step, poly_step, ridge_step = (s for _, s in model.steps)
-            _require(
-                isinstance(scale_step, StandardScaler)
-                and isinstance(poly_step, PolynomialFeatures)
-                and isinstance(ridge_step, RidgeRegression)
-                and ridge_step.fit_intercept,
+                profile is not None,
                 "model factory must build the default "
                 "StandardScaler→PolynomialFeatures→RidgeRegression pipeline",
             )
-            if degree is None:
-                degree = poly_step.degree
-                interaction_only = poly_step.interaction_only
-            _require(
-                poly_step.degree == degree
-                and poly_step.interaction_only == interaction_only,
-                "polynomial expansion must be uniform",
-            )
+            profiles.append(profile)
+        _require(
+            len({(p.degree, p.interaction_only) for p in profiles}) == 1,
+            "polynomial expansion must be uniform",
+        )
+        detectors = [o.switch_detector for o in opts if o.switch_detector is not None]
+        _require(
+            len({id(det) for det in detectors}) == len(detectors),
+            "each session needs its own TaskSwitchDetector instance",
+        )
         if gate0 is not None:
             # Gate active ⟹ the selector is in its model branch: the gate
             # must never strip candidates while the selector would still be
-            # consuming a cold-start RNG draw, or the lock-step mirror (which
-            # routes gated sessions through the batched model path) diverges.
+            # consuming a cold-start RNG draw, or the engine (which routes
+            # gated sessions through the batched model path) diverges.
             _require(
                 gate0.min_observations >= sel0.min_observations,
                 "safe_gate.min_observations must be >= the selector's "
                 "min_observations",
             )
-        return _Uniform(
+        uniform = _Uniform(
             window_size=first.observations.window_size,
             n_candidates=first.n_candidates,
             find_best_mode=first.find_best_mode,
@@ -533,12 +444,12 @@ class LockstepSessions:
             min_update_obs=first.min_update_observations,
             sel_min_obs=sel0.min_observations,
             acquisition=sel0.acquisition,
-            degree=degree,
-            interaction_only=interaction_only,
+            degree=profiles[0].degree,
+            interaction_only=profiles[0].interaction_only,
             guardrail=gr0,
-            detector=det0,
-            gate=gate0,
+            gate_min_obs=None if gate0 is None else gate0.min_observations,
         )
+        return uniform, profiles
 
     # -- buffers -----------------------------------------------------------------
 
@@ -564,7 +475,7 @@ class LockstepSessions:
     # -- window models -----------------------------------------------------------
 
     def _models_for(
-        self, idx: np.ndarray, version: int, n: Optional[int] = None
+        self, idx: np.ndarray, version: int, n: int
     ) -> BatchedRidgePipeline:
         """Fitted window models for sessions ``idx`` at window ``version``.
 
@@ -572,16 +483,14 @@ class LockstepSessions:
         sessions are refit in one batched call (others keep their cached
         fit, exactly like the sequential memoization in
         :func:`repro.core.find_best.fit_window_model`).  ``n`` is the shared
-        window length of the ``idx`` sessions — callers with task-switch
-        re-anchored populations group sessions by window length first; the
-        default covers the never-re-anchored epoch.  A re-anchor invalidates
-        the cache by pinning ``_model_version`` to -1.
+        window length of the ``idx`` sessions — task-switch re-anchored
+        populations have ragged windows, so callers group sessions by window
+        length first.  A re-anchor invalidates the cache by pinning
+        ``_model_version`` to -1.
         """
         stale = idx[self._model_version[idx] != version]
         if stale.size:
             u = self._u
-            if n is None:
-                n = min(version, u.window_size)
             lo = version - n
             X = np.empty((stale.size, n, self.dim + 1))
             X[:, :, : self.dim] = self._vectors[stale, lo:version]
@@ -732,7 +641,7 @@ class LockstepSessions:
                 grp = act[pos]
                 n_w = int(n_w)
                 model = self._models_for(grp, version=t, n=n_w)
-                gated = u.gate is not None and n_w >= u.gate.min_observations
+                gated = u.gate_min_obs is not None and n_w >= u.gate_min_obs
                 n_rows = m + 1 if gated else m
                 rows = np.empty((grp.size, n_rows, dim + 1))
                 rows[:, :m, :dim] = cands[pos]
@@ -744,15 +653,14 @@ class LockstepSessions:
                 best = np.min(self._perfs[grp, t - n_w : t], axis=1)
                 scores = u.acquisition(mean[:, :m], std, best[:, None])
                 if gated:
-                    # Same mask the scalar gate computes; rejecting a
-                    # candidate zeroes its score via -inf, which is
+                    # Each session's own gate masks its candidates; rejecting
+                    # a candidate zeroes its score via -inf, which is
                     # argmax-equivalent to selecting over the safe subset.
-                    bound = u.gate.bound
-                    mask = mean[:, :m] <= mean[:, m:] * (1.0 + bound)
-                    telemetry.counter("safe.checks").inc(grp.size)
-                    n_rejected = int(grp.size * m - np.count_nonzero(mask))
-                    if n_rejected:
-                        telemetry.counter("safe.rejected").inc(n_rejected)
+                    opts = self._opts
+                    mask = np.array([
+                        opts[k].safe_gate.safe_mask(mean[j, :m], mean[j, m])
+                        for j, k in enumerate(grp)
+                    ])
                     unsafe = ~mask.any(axis=1)
                     if unsafe.any():
                         telemetry.counter("safe.fallbacks").inc(
@@ -778,9 +686,8 @@ class LockstepSessions:
         #    the vectorized Alg.-1 centroid update for every session that is
         #    active with a full-enough window.
         telemetry.counter("session.steps").inc(k_total)
-        if self._sws is not None:
-            fired = self._switch_step(t)
-            not_fired = ~fired
+        if self._armed:
+            not_fired = ~self._switch_step(t)
         else:
             not_fired = np.ones(k_total, dtype=bool)
         if self._grs is not None:
@@ -812,178 +719,71 @@ class LockstepSessions:
         self._t = t + 1
 
     def _switch_step(self, t: int) -> np.ndarray:
-        """Vectorized :meth:`TaskSwitchDetector.update` sweep for step ``t``.
-
-        The elementwise CUSUM recursion runs across all sessions at once
-        (float64 elementwise ops are bitwise equal to the scalar update);
-        the rare events — warmup-block freezes and detections — drop to
-        per-session loops that replay the scalar arithmetic exactly.
-        Returns the fired mask; fired sessions are fully re-anchored
-        (detector, window epoch, guardrail, warm-started centroid) before
-        returning, mirroring ``CentroidLearning._re_anchor``.
-        """
-        det = self._u.detector
-        s = self._sws
-        k_total = self.k
-        telemetry.counter("switch.checks").inc(k_total)
-        perfs = self._perfs[:, t]
-        sizes = self._sizes[:, t]
-        x = perfs / sizes
-        fired = np.zeros(k_total, dtype=bool)
-        stats = np.zeros(k_total)
-        bounds = np.zeros(k_total)
-        reasons = [""] * k_total
-
-        # Input-size channel: immediate fire on a size_jump× ratio versus
-        # the anchor, either direction, before any warmup accumulation.
-        anchored = ~np.isnan(s.anchor_size)
-        if det.size_jump is not None and anchored.any():
-            ratio = sizes / np.where(anchored, s.anchor_size, 1.0)
-            size_fire = anchored & (
-                (ratio > det.size_jump) | (ratio * det.size_jump < 1.0)
+        """Each armed session's own :meth:`TaskSwitchDetector.update` for
+        step ``t``; returns the fired mask, fired sessions re-anchored."""
+        fired = np.zeros(self.k, dtype=bool)
+        perfs = self._perfs[:, t].tolist()
+        sizes = self._sizes[:, t].tolist()
+        for k in self._armed:
+            decision = self._opts[k].switch_detector.update(
+                perfs[k], sizes[k], iteration=t
             )
-            if size_fire.any():
-                fired |= size_fire
-                stats[size_fire] = ratio[size_fire]
-                bounds[size_fire] = det.size_jump
-                for k in np.flatnonzero(size_fire):
-                    reasons[k] = "input_size"
-        # (Plan-shape channel: lock-step sessions carry no embeddings, so
-        # the scalar detector's cosine check is inert here by construction.)
-
-        quiet = ~fired
-        new_anchor = quiet & ~anchored
-        if new_anchor.any():
-            s.anchor_size[new_anchor] = sizes[new_anchor]
-
-        warm = quiet & (s.n < det.warmup)
-        if warm.any():
-            idx = np.flatnonzero(warm)
-            s.block[idx, s.n[idx]] = x[idx]
-            s.n[idx] += 1
-            for k in idx[s.n[idx] == det.warmup]:
-                # Freeze the reference exactly as the scalar detector does.
-                block = s.block[k, : det.warmup]
-                mean = float(block.mean())
-                s.ref_mean[k] = mean
-                s.ref_scale[k] = max(
-                    float(block.std()), det.min_rel_scale * abs(mean), 1e-12
-                )
-
-        hot = quiet & ~warm
-        if hot.any():
-            idx = np.flatnonzero(hot)
-            z = (x[idx] - s.ref_mean[idx]) / s.ref_scale[idx]
-            g = np.maximum(0.0, s.g[idx] + np.minimum(z, det.clip) - det.drift)
-            s.g[idx] = g
-            s.n[idx] += 1
-            over = g > det.threshold
-            if over.any():
-                cusum_fire = idx[over]
-                fired[cusum_fire] = True
-                stats[cusum_fire] = g[over]
-                bounds[cusum_fire] = det.threshold
-                for k in cusum_fire:
-                    reasons[k] = "cost_shift"
-
-        for k in np.flatnonzero(fired):
-            decision = SwitchDecision(
-                t, float(stats[k]), float(bounds[k]), True, reasons[k]
-            )
-            s.switch_counts[k] += 1
-            s.decisions[k].append(decision)
-            # Detector re-anchor on the firing observation.
-            s.n[k] = 1
-            s.block[k, 0] = x[k]
-            s.g[k] = 0.0
-            s.ref_mean[k] = np.nan
-            s.ref_scale[k] = np.nan
-            s.anchor_size[k] = sizes[k]
-            _record_detection(decision)
-            # Optimizer re-anchor: fresh window epoch seeded with the firing
-            # observation, guardrail reset, warm-started centroid.
-            self._win_start[k] = t
-            self._model_version[k] = -1
-            self._n_updates[k] = 0.0
-            if self._grs is not None:
-                gs = self._grs
-                gs.consecutive[k] = 0
-                gs.disabled[k] = False
-                gs.since_disable[k] = 0
-                gs.reset_count[k] += 1
-                self._gr_start[k] = t + 1
-                telemetry.counter("guardrail.resets").inc()
-            warm_start = self._warm_starts[k]
-            if warm_start is not None:
-                obs = Observation(
-                    config=self._vectors[k, t].copy(),
-                    data_size=float(sizes[k]),
-                    performance=float(perfs[k]),
-                    iteration=t,
-                )
-                try:
-                    vector = warm_start(obs)
-                except Exception:  # noqa: BLE001 — mirror the scalar path
-                    telemetry.counter("switch.warm_start_failures").inc()
-                    vector = None
-                if vector is not None:
-                    self._centroids[k] = self.space.clip(
-                        np.asarray(vector, dtype=float)
-                    )
-                    telemetry.counter("switch.warm_starts").inc()
-            s.reanchors[k] += 1
-            telemetry.counter("switch.reanchors", reason=decision.reason).inc()
-            telemetry.emit(
-                "switch.reanchor",
-                iteration=t,
-                reason=decision.reason,
-                statistic=decision.statistic,
-                centroid=self._centroids[k].tolist(),
-            )
+            if decision.detected:
+                fired[k] = True
+                self._re_anchor(k, t, decision)
         return fired
+
+    def _re_anchor(self, k: int, t: int, decision) -> None:
+        """:meth:`CentroidLearning._re_anchor` for session ``k``: a fresh
+        window epoch seeded with the firing observation, the real guardrail
+        reset along with its SoA state, and the warm-started centroid."""
+        opt = self._opts[k]
+        self._win_start[k] = t
+        self._model_version[k] = -1
+        self._n_updates[k] = 0.0
+        if self._grs is not None:
+            opt.guardrail.reset()
+            gs = self._grs
+            gs.consecutive[k] = 0
+            gs.disabled[k] = False
+            gs.since_disable[k] = 0
+            self._gr_start[k] = t + 1
+        obs = Observation(
+            config=self._vectors[k, t].copy(),
+            data_size=float(self._sizes[k, t]),
+            performance=float(self._perfs[k, t]),
+            iteration=t,
+        )
+        self._centroids[k] = opt._warm_start_centroid(obs, self._centroids[k])
+        opt._count_reanchor(t, decision, self._centroids[k])
 
     def _update_centroids(self, upd: np.ndarray, t: int, n_win: int) -> None:
         """FIND_BEST + ml sign gradient + overshoot, for sessions ``upd``."""
         u = self._u
-        dim = self.dim
         lo = t + 1 - n_win
         model = self._models_for(upd, version=t + 1, n=n_win)
         w_conf = self._vectors[upd, lo : t + 1]
-        w_perf = self._perfs[upd, lo : t + 1]
         p_latest = self._sizes[upd, t]
 
         if u.find_best_mode is FindBestMode.MODEL:
-            rows = np.empty((upd.size, n_win, dim + 1))
-            rows[:, :, :dim] = w_conf
-            rows[:, :, dim] = p_latest[:, None]
-            best_idx = np.argmin(model.predict(rows), axis=1)
+            predictions = model.predict(feature_rows(w_conf, p_latest))
+            best_idx = np.argmin(predictions, axis=1)
         elif u.find_best_mode is FindBestMode.RAW:
-            best_idx = np.argmin(w_perf, axis=1)
+            best_idx = np.argmin(self._perfs[upd, lo : t + 1], axis=1)
         else:  # NORMALIZED
-            best_idx = np.argmin(w_perf / self._sizes[upd, lo : t + 1], axis=1)
+            best_idx = np.argmin(
+                self._perfs[upd, lo : t + 1] / self._sizes[upd, lo : t + 1], axis=1
+            )
         c_star = w_conf[np.arange(upd.size), best_idx]
 
         alpha = self._alphas[upd] / (
             1.0 + self._alpha_decays[upd] * self._n_updates[upd]
         )
-        deltas = self._deltas
-        if u.probe == "multiplicative":
-            points = c_star[:, None, :] * (1.0 - alpha[:, None, None] * deltas[None])
-        else:
-            points = c_star[:, None, :] - (
-                alpha[:, None, None] * deltas[None] * self._span[None, None, :]
-            )
-        np.clip(points, self._lb, self._ub, out=points)
-        probe_rows = np.empty((upd.size, len(deltas), dim + 1))
-        probe_rows[:, :, :dim] = points
-        probe_rows[:, :, dim] = p_latest[:, None]
-        delta = deltas[np.argmin(model.predict(probe_rows), axis=1)]
-
-        if u.probe == "multiplicative":
-            new_centroid = c_star * (1.0 - alpha[:, None] * delta)
-        else:
-            new_centroid = c_star - alpha[:, None] * delta * self._span[None, :]
-        self._centroids[upd] = np.clip(new_centroid, self._lb, self._ub)
+        probes = gradient_rows(self.space, c_star, p_latest, alpha, u.probe)
+        delta = sign_gradient(self.dim, model.predict(probes))
+        self._centroids[upd] = probe_points(
+            self.space, c_star, delta, alpha[:, None], u.probe
+        )
         self._n_updates[upd] += 1.0
         self._last_best[upd] = c_star
         self._last_delta[upd] = delta
@@ -1157,8 +957,6 @@ class LockstepSessions:
 
     def _sync_state(self) -> None:
         """Write lock-step state back into the real optimizer objects."""
-        from ..core.observation import ObservationWindow
-
         n = self._t
         u = self._u
         iterations = np.arange(n, dtype=float).tolist()
@@ -1217,27 +1015,7 @@ class LockstepSessions:
                 guardrail._disabled = bool(s.disabled[k])
                 guardrail._since_disable = int(s.since_disable[k])
                 guardrail.reenable_count = int(s.reenable_count[k])
-                guardrail.reset_count = int(s.reset_count[k])
                 guardrail.decisions = list(s.decisions[k])
-            if self._sws is not None:
-                sw = self._sws
-                det = opt.switch_detector
-                n_k = int(sw.n[k])
-                det._n = n_k
-                det._block = [
-                    float(v)
-                    for v in sw.block[k, : min(n_k, u.detector.warmup)]
-                ]
-                ref_mean = float(sw.ref_mean[k])
-                det._ref_mean = None if np.isnan(ref_mean) else ref_mean
-                ref_scale = float(sw.ref_scale[k])
-                det._ref_scale = None if np.isnan(ref_scale) else ref_scale
-                det._g = float(sw.g[k])
-                anchor = float(sw.anchor_size[k])
-                det._anchor_size = None if np.isnan(anchor) else anchor
-                det.switch_count = int(sw.switch_counts[k])
-                det.detections = list(sw.decisions[k])
-                opt.reanchor_count = int(sw.reanchors[k])
         self._synced_obs = n
 
 

@@ -3,7 +3,7 @@
 A shard drain hands :func:`execute_run` a run of requests over pairwise
 distinct sessions.  A session is batched when its optimizer is a
 ``CentroidLearning`` whose window model is the standard ridge pipeline
-(:func:`batch_profile_for`); its request then runs as the optimizer's own
+(:func:`repro.core.centroid.batch_profile_for`); its request then runs as the optimizer's own
 ``coalesced_suggest``/``coalesced_observe`` step — guardrail, switch
 detector, safe gate, selector and FIND_BEST/FIND_GRADIENT modes included.
 This module only orchestrates: it advances every step to its next model
@@ -18,50 +18,19 @@ bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 # perfbench/tracer.py patches ``generate_candidates`` here by name.
 from ..core.candidates import generate_candidates  # noqa: F401
-from ..core.centroid import CentroidLearning
+from ..core.centroid import batch_profile_for
 from ..core.find_best import cached_window_model, remember_window_model
-from ..core.optimizer_base import Optimizer
 from ..ml.batched import BatchedRidgePipeline, fit_ridge_pipeline
-from ..ml.linear import PolynomialFeatures, RidgeRegression
-from ..ml.scaler import Pipeline, StandardScaler
+from ..ml.scaler import Pipeline
 from .sessions import TenantSession, TenantSessionHost, UNPROBED
 
-__all__ = ["BatchProfile", "batch_profile_for", "execute_run"]
-
-
-@dataclass(frozen=True)
-class BatchProfile:
-    """The window-model hyperparameters a batched fit needs."""
-
-    alpha: float
-    degree: int
-    interaction_only: bool
-
-
-def batch_profile_for(optimizer: Optimizer) -> Optional[BatchProfile]:
-    """A :class:`BatchProfile` for a ``CentroidLearning`` whose window model
-    is ``StandardScaler → PolynomialFeatures → RidgeRegression(fit_intercept=True)``
-    — the model :func:`fit_ridge_pipeline` reproduces bitwise — else ``None``."""
-    if type(optimizer) is not CentroidLearning:
-        return None
-    try:
-        model = optimizer.model_factory()
-    except Exception:  # noqa: BLE001 — an exploding factory is "not batchable"
-        return None
-    steps = [step for _, step in model.steps] if type(model) is Pipeline else []
-    if [type(step) for step in steps] != [StandardScaler, PolynomialFeatures, RidgeRegression]:
-        return None
-    _, poly, ridge = steps
-    if not ridge.fit_intercept:
-        return None
-    return BatchProfile(float(ridge.alpha), int(poly.degree), bool(poly.interaction_only))
+__all__ = ["execute_run"]
 
 
 def execute_run(

@@ -509,14 +509,17 @@ def diff_lockstep_sequential(
     passes a deliberately-broken subclass to prove the oracle catches a
     single-session perturbation at the faulting step).
 
-    ``switching=True`` arms every session with a
-    :class:`~repro.core.switch.TaskSwitchDetector` and gives each a
-    staggered step-change in data scale (a 5× jump at ``4 + q % 4``), so
-    sessions re-anchor at *different* steps — the ragged-epoch case the
-    vectorized detector state must keep bit-identical.  Odd sessions get a
-    deterministic warm-start hook; every sixth a failing one (the swallowed
-    -failure path).  ``safe=True`` adds a uniform
-    :class:`~repro.core.switch.SafeExplorationGate` to every session.
+    ``switching=True`` gives every session a staggered step-change in data
+    scale (a 5× jump at ``4 + q % 4``) and arms three sessions in four with
+    a :class:`~repro.core.switch.TaskSwitchDetector` — odd sessions with
+    ``warmup=4, threshold=4.0``, the rest with ``warmup=3, threshold=3.0``,
+    every fourth unarmed — so sessions re-anchor at *different* steps under
+    different detector parameters: the ragged-epoch, mixed-population case
+    the engine's per-session epochs must keep bit-identical.  Odd sessions
+    get a deterministic warm-start hook; every sixth a failing one (the
+    swallowed-failure path).  ``safe=True`` adds a
+    :class:`~repro.core.switch.SafeExplorationGate` to every session, with
+    ``bound=0.5`` on odd sessions and ``0.25`` on even ones.
     """
     guardrail_factory = lambda: Guardrail(
         min_iterations=4, threshold=0.15, patience=2
@@ -545,9 +548,11 @@ def diff_lockstep_sequential(
                     )
                 if switching:
                     opt = spec.optimizer
-                    opt.switch_detector = TaskSwitchDetector(
-                        warmup=4, threshold=4.0, size_jump=3.0
-                    )
+                    if q % 4:
+                        opt.switch_detector = TaskSwitchDetector(
+                            warmup=3 + q % 2, threshold=3.0 + q % 2,
+                            size_jump=3.0,
+                        )
                     if q % 2 == 1:
                         if q % 6 == 5:
                             def _failing_warm_start(obs):
@@ -570,7 +575,7 @@ def diff_lockstep_sequential(
                     )
                 if safe:
                     spec.optimizer.safe_gate = SafeExplorationGate(
-                        bound=0.5, min_observations=3
+                        bound=0.25 + 0.25 * (q % 2), min_observations=3
                     )
                 specs.append(spec)
         return specs
@@ -615,6 +620,8 @@ def diff_lockstep_sequential(
         if switching:
             for spec in specs:
                 det = spec.optimizer.switch_detector
+                if det is None:
+                    continue
                 steps.append({
                     "switch_decisions": [
                         (d.iteration, d.statistic, d.bound, d.reason)

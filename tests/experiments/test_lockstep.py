@@ -15,6 +15,7 @@ from repro.core.centroid import CentroidLearning
 from repro.core.config_space import ConfigSpace, Parameter
 from repro.core.guardrail import Guardrail
 from repro.core.observation import Observation
+from repro.core.switch import SafeExplorationGate, TaskSwitchDetector
 from repro.experiments.lockstep import (
     LockstepCompatibilityError,
     LockstepReplicatedRuns,
@@ -25,7 +26,7 @@ from repro.experiments.lockstep import (
 from repro.experiments.runner import run_replicated, run_single
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultySimulator
 from repro.optimizers.random_search import RandomSearch
-from repro.sparksim.configs import query_level_space
+from repro.sparksim.configs import full_space, query_level_space
 from repro.sparksim.executor import SparkSimulator
 from repro.sparksim.noise import NoiseModel, no_noise
 from repro.workloads.dynamics import LinearGrowth
@@ -91,6 +92,80 @@ class TestBitIdentity:
         split.advance(4)
         whole_traces = LockstepSessions(mixed_population()).run(8)
         assert_traces_equal(split.traces(), whole_traces)
+
+    def test_mixed_detectors_and_gates_match_sequential(self):
+        # Unarmed sessions next to armed ones with their own detector
+        # parameters, per-session gate bounds, a warm start and a failing
+        # one; a 5x input step at step 4 makes every armed session fire.
+        def failing_warm_start(obs):
+            raise RuntimeError("warm-start backend down")
+
+        def population():
+            specs = mixed_population()
+            space = specs[0].optimizer.space
+            for k, spec in enumerate(specs):
+                opt = spec.optimizer
+                if k % 3:
+                    opt.switch_detector = TaskSwitchDetector(
+                        warmup=2 + k % 2, threshold=2.0 + k, size_jump=3.0
+                    )
+                opt.safe_gate = SafeExplorationGate(bound=0.1 * (k + 1))
+                base = spec.scale_fn or (lambda t: 1.0)
+                spec.scale_fn = lambda t, _b=base: _b(t) * (5.0 if t >= 4 else 1.0)
+            specs[1].optimizer.switch_warm_start = lambda obs: space.default_vector()
+            specs[2].optimizer.switch_warm_start = failing_warm_start
+            return specs
+
+        lock_specs = population()
+        lock_traces = LockstepSessions(lock_specs).run(10)
+        seq_specs = population()
+        assert_traces_equal(lock_traces, run_sequential(seq_specs, 10))
+        for lock_spec, seq_spec in zip(lock_specs, seq_specs):
+            lock_opt, seq_opt = lock_spec.optimizer, seq_spec.optimizer
+            assert np.array_equal(lock_opt.centroid, seq_opt.centroid)
+            assert lock_opt.reanchor_count == seq_opt.reanchor_count
+            assert lock_opt.guardrail.reset_count == seq_opt.guardrail.reset_count
+            assert lock_opt.guardrail.decisions == seq_opt.guardrail.decisions
+            if seq_opt.switch_detector is not None:
+                assert seq_opt.reanchor_count >= 1
+                assert (lock_opt.switch_detector.to_state()
+                        == seq_opt.switch_detector.to_state())
+
+    def test_high_dimensional_space_matches_sequential(self):
+        # d = 14 > 12: the sign search is core's coordinate-wise one.
+        space = ConfigSpace(list(full_space()) + [
+            Parameter(name=f"extra.knob{i}", low=0.0, high=10.0, default=5.0)
+            for i in range(6)
+        ])
+        assert space.dim == 14
+
+        def population():
+            return [
+                SessionSpec(
+                    plan=tpch_plan(3 if k % 2 else 6),
+                    simulator=SparkSimulator(
+                        noise=NoiseModel(fluctuation_level=0.1 * k), seed=70 + k
+                    ),
+                    optimizer=CentroidLearning(
+                        space, alpha=0.05 + 0.01 * k,
+                        guardrail=Guardrail(min_iterations=3, threshold=0.2,
+                                            patience=2, cooldown=3),
+                        seed=k,
+                    ),
+                    scale_fn=LinearGrowth(initial=1.0, slope=0.05 * (k + 1)),
+                )
+                for k in range(5)
+            ]
+
+        lock_specs = population()
+        lock_traces = LockstepSessions(lock_specs).run(20)
+        seq_specs = population()
+        assert_traces_equal(lock_traces, run_sequential(seq_specs, 20))
+        for lock_spec, seq_spec in zip(lock_specs, seq_specs):
+            lock_opt, seq_opt = lock_spec.optimizer, seq_spec.optimizer
+            assert np.array_equal(lock_opt.centroid, seq_opt.centroid)
+            assert np.array_equal(lock_opt.last_gradient, seq_opt.last_gradient)
+            assert lock_opt.guardrail.decisions == seq_opt.guardrail.decisions
 
 
 class TestStateSync:
@@ -168,19 +243,6 @@ class TestValidation:
             data_size=100.0, performance=1.0, iteration=0,
         ))
         with pytest.raises(LockstepCompatibilityError, match="fresh"):
-            LockstepSessions([spec])
-
-    def test_rejects_high_dimensional_space(self):
-        wide = ConfigSpace([
-            Parameter(name=f"knob{i}", low=0.0, high=10.0, default=5.0)
-            for i in range(13)
-        ])
-        spec = SessionSpec(
-            plan=tpch_plan(3),
-            simulator=SparkSimulator(noise=no_noise(), seed=0),
-            optimizer=CentroidLearning(wide, seed=0),
-        )
-        with pytest.raises(LockstepCompatibilityError, match="dim"):
             LockstepSessions([spec])
 
     def test_rejects_empty_population(self):

@@ -8,8 +8,9 @@ Three layers:
   be *caught* by the oracle, with the first divergence pinned to the very
   next suggestion (proves the oracle can see what it guards against);
 * lock-step parity — fleets whose sessions switch at *different* steps
-  (and tune under the safe-exploration gate) stay bitwise identical to
-  their sequential twins via ``diff_lockstep_sequential``.
+  under different detector settings, next to unarmed sessions (and tune
+  under the safe-exploration gate), stay bitwise identical to their
+  sequential twins via ``diff_lockstep_sequential``.
 """
 
 import pytest
@@ -88,13 +89,28 @@ class TestSensitivity:
 
 
 class TestLockstepParity:
-    def test_switching_fleet_bitwise(self):
-        """Sessions switch at different steps (4 + q % 4); fleet == sequential."""
+    def test_switching_fleet_bitwise(self, monkeypatch):
+        """Sessions switch at different steps (4 + q % 4); fleet == sequential.
+
+        The population mixes unarmed sessions with two detector settings;
+        both settings must actually re-anchor, or the parity is vacuous.
+        """
+        fired = set()
+        update = TaskSwitchDetector.update
+
+        def recording_update(self, *args, **kwargs):
+            decision = update(self, *args, **kwargs)
+            if decision.detected:
+                fired.add((self.warmup, self.threshold))
+            return decision
+
+        monkeypatch.setattr(TaskSwitchDetector, "update", recording_update)
         report = diff_lockstep_sequential(
             seed=0, n_workloads=8, n_iterations=14, switching=True
         )
         assert report.equivalent, report.summary()
         assert report.tolerance == 0.0
+        assert fired == {(3, 3.0), (4, 4.0)}
 
     def test_switching_and_safe_fleet_bitwise(self):
         report = diff_lockstep_sequential(
