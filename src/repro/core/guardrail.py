@@ -119,39 +119,61 @@ class Guardrail:
         return len(self._times)
 
     def update(self, obs: Observation) -> bool:
-        """Record an observation and run the check; returns :attr:`active`."""
+        """Record an observation and run the check; returns :attr:`active`.
+
+        The scalar entry point: :meth:`hold` while disabled, otherwise (once
+        ``min_iterations`` observations are in) the trend solve followed by
+        :meth:`judge`.  The lock-step engine keeps the history itself, solves
+        the trends of many sessions at once and calls the same two halves.
+        """
         self._iterations.append(float(obs.iteration))
         self._data_sizes.append(obs.data_size)
         self._times.append(obs.performance)
         if self._disabled:
-            if self.cooldown is not None:
-                self._since_disable += 1
-                telemetry.counter("guardrail.cooldown_holds").inc()
-                if self._since_disable >= self.cooldown:
-                    # Probation: resume tuning with a clean violation count.
-                    self._disabled = False
-                    self._since_disable = 0
-                    self._consecutive_violations = 0
-                    self.reenable_count += 1
-                    telemetry.counter("guardrail.reenables").inc()
-                    telemetry.emit("guardrail.reenable",
-                                   iteration=int(obs.iteration),
-                                   reenable_count=self.reenable_count)
-            return self.active
+            return self.hold(int(obs.iteration))
         if len(self._times) < self.min_iterations:
             return self.active
+        predicted_next, predicted_current = self._predict()
+        return self.judge(
+            int(obs.iteration), self._times[-1], predicted_next, predicted_current
+        )
 
-        with telemetry.span("guardrail.check", iteration=int(obs.iteration)) as tspan:
-            predicted_next, predicted_current = self._predict()
+    def hold(self, iteration: int) -> bool:
+        """One observation spent disabled: the cooldown tick, re-enabling
+        on probation once ``cooldown`` observations have passed."""
+        if self.cooldown is not None:
+            self._since_disable += 1
+            telemetry.counter("guardrail.cooldown_holds").inc()
+            if self._since_disable >= self.cooldown:
+                # Probation: resume tuning with a clean violation count.
+                self._disabled = False
+                self._since_disable = 0
+                self._consecutive_violations = 0
+                self.reenable_count += 1
+                telemetry.counter("guardrail.reenables").inc()
+                telemetry.emit("guardrail.reenable", iteration=iteration,
+                               reenable_count=self.reenable_count)
+        return self.active
+
+    def judge(
+        self,
+        iteration: int,
+        latest: float,
+        predicted_next: float,
+        predicted_current: float,
+    ) -> bool:
+        """The verdict on one trend solve: log the decision, count the
+        violation and disable after ``patience`` consecutive ones."""
+        with telemetry.span("guardrail.check", iteration=iteration) as tspan:
             # Eq.-8 noise only ever inflates observations, so a noisy `previous`
             # can mask a genuine upward trend; referencing the smaller of the
             # observation and the model's de-noised current estimate keeps the
             # check sensitive without firing on healthy queries.
-            previous = min(self._times[-1], predicted_current)
+            previous = min(latest, predicted_current)
             violated = predicted_next > previous * (1.0 + self.threshold)
             self.decisions.append(
                 GuardrailDecision(
-                    iteration=int(self._iterations[-1]),
+                    iteration=iteration,
                     predicted_next=predicted_next,
                     previous=previous,
                     violated=violated,
@@ -166,7 +188,7 @@ class Guardrail:
                     self._disabled = True
                     telemetry.counter("guardrail.disables").inc()
                     telemetry.emit("guardrail.disable",
-                                   iteration=int(obs.iteration),
+                                   iteration=iteration,
                                    predicted_next=predicted_next,
                                    previous=previous)
             else:
@@ -190,6 +212,12 @@ class Guardrail:
             "consecutive_violations": self._consecutive_violations,
             "disabled": self._disabled,
             "since_disable": self._since_disable,
+            "reenable_count": self.reenable_count,
+            "reset_count": self.reset_count,
+            "decisions": [
+                [d.iteration, d.predicted_next, d.previous, bool(d.violated)]
+                for d in self.decisions
+            ],
         }
 
     def restore_state(self, state: dict) -> "Guardrail":
@@ -200,6 +228,12 @@ class Guardrail:
         self._consecutive_violations = int(state["consecutive_violations"])
         self._disabled = bool(state["disabled"])
         self._since_disable = int(state.get("since_disable", 0))
+        self.reenable_count = int(state.get("reenable_count", 0))
+        self.reset_count = int(state.get("reset_count", 0))
+        self.decisions = [
+            GuardrailDecision(int(i), float(pn), float(prev), bool(v))
+            for i, pn, prev, v in state.get("decisions", [])
+        ]
         return self
 
     def _predict(self) -> tuple:

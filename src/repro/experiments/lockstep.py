@@ -32,19 +32,21 @@ sequentially.  The ingredients:
 Struct-of-arrays state exists only where the engine batches: candidate
 draws and scoring, the cost kernel, window-model fits, the guardrail trend
 solve and the centroid update — work whose K scalar calls would cost more
-than the step.  The rest runs on each session's own objects: an armed
-session calls its own :class:`~repro.core.switch.TaskSwitchDetector`,
-re-anchors through :class:`CentroidLearning`'s warm-start and counter
-helpers and its real guardrail's ``reset()``, and a gated session's
-candidates are masked by its own
-:meth:`~repro.core.switch.SafeExplorationGate.safe_mask` (``-inf`` at a
+than the step.  The rest runs on each session's own objects: a guarded
+session's own :class:`~repro.core.guardrail.Guardrail` judges the batched
+trend (:meth:`~repro.core.guardrail.Guardrail.judge`) or ticks its cooldown
+(:meth:`~repro.core.guardrail.Guardrail.hold`); an armed session calls its
+own :class:`~repro.core.switch.TaskSwitchDetector`, re-anchors through
+:class:`CentroidLearning`'s warm-start and counter helpers and its real
+guardrail's ``reset()``; and a gated session's candidates are masked by its
+own :meth:`~repro.core.switch.SafeExplorationGate.safe_mask` (``-inf`` at a
 rejected candidate is argmax-equivalent to the scalar gate's subset
 selection).  Sessions re-anchoring at different steps keep ragged
 window/guardrail epochs (``_win_start``/``_gr_start``) that the suggest,
-guardrail and centroid phases group by length.  So detectors may arm some
-sessions only, with per-session parameters; gate bounds may differ; and
-spaces of any dimension run (beyond 12 knobs the sign search is core's
-coordinate-wise one).
+guardrail and centroid phases group by length.  So guardrails and detectors
+may cover some sessions only, each with its own parameters; gate bounds may
+differ; and spaces of any dimension run (beyond 12 knobs the sign search is
+core's coordinate-wise one).
 
 ``repro.verify.diff.diff_lockstep_sequential`` pins the contract end to
 end on fig15-style populations; Hypothesis properties in
@@ -57,7 +59,7 @@ path rather than silently getting different numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -66,7 +68,7 @@ from .. import telemetry
 from ..core.centroid import CentroidLearning, batch_profile_for
 from ..core.find_best import FindBestMode
 from ..core.gradient import gradient_rows, probe_points, sign_gradient
-from ..core.guardrail import Guardrail, GuardrailDecision
+from ..core.guardrail import Guardrail
 from ..core.observation import Observation, ObservationWindow, feature_rows
 from ..core.selectors import SurrogateSelector
 from ..core.session import IterationRecord, TuningSession, TuningTrace
@@ -146,19 +148,7 @@ class _Uniform:
     acquisition: object
     degree: int
     interaction_only: bool
-    guardrail: Optional[Guardrail]  # parameter template (state lives in SoA)
     gate_min_obs: Optional[int]  # None: no safe gates
-
-
-@dataclass
-class _GuardrailState:
-    """Per-session guardrail state, struct-of-arrays."""
-
-    consecutive: np.ndarray
-    disabled: np.ndarray
-    since_disable: np.ndarray
-    reenable_count: np.ndarray
-    decisions: List[List[GuardrailDecision]] = field(default_factory=list)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -173,9 +163,10 @@ class LockstepSessions:
         specs: the population; every optimizer must be a fresh
             :class:`CentroidLearning` with the default surrogate-selector /
             ridge-pipeline structure (per-session ``alpha``, ``beta``,
-            ``alpha_decay``, ridge strength, seeds, noise models and fault
-            plans may vary; window sizes, candidate counts, selector and
-            guardrail *parameters* must be uniform).
+            ``alpha_decay``, ridge strength, seeds, noise models, fault
+            plans, guardrails, detectors and gate bounds may vary; window
+            sizes, candidate counts and selector parameters must be
+            uniform).
 
     Raises:
         LockstepCompatibilityError: when the population cannot be run
@@ -269,16 +260,21 @@ class LockstepSessions:
         )
         self._model_version = np.full(self.k, -1)
 
-        if u.guardrail is not None:
-            self._grs: Optional[_GuardrailState] = _GuardrailState(
-                consecutive=np.zeros(self.k, dtype=int),
-                disabled=np.zeros(self.k, dtype=bool),
-                since_disable=np.zeros(self.k, dtype=int),
-                reenable_count=np.zeros(self.k, dtype=int),
-                decisions=[[] for _ in range(self.k)],
-            )
-        else:
-            self._grs = None
+        # Guardrails: each session's own object holds and judges; the engine
+        # keeps their history in the step buffers and batches the trend
+        # solve.  ``_disabled`` mirrors ``not guardrail.active`` (False for
+        # unguarded sessions) to mask the suggest phase.
+        self._guardrails = [o.guardrail for o in opts if o.guardrail is not None]
+        self._guarded = np.array(
+            [k for k, o in enumerate(opts) if o.guardrail is not None], dtype=int
+        )
+        self._gr_min = np.array(
+            [g.min_iterations for g in self._guardrails], dtype=int
+        )
+        self._gr_window = np.array(
+            [g.fit_window for g in self._guardrails], dtype=int
+        )
+        self._disabled = np.zeros(self.k, dtype=bool)
 
         # Task-switch re-anchoring: per-session window / guardrail epochs.
         # ``_win_start[k]`` is the step index of the first observation in
@@ -313,7 +309,6 @@ class LockstepSessions:
         )
         space = first.space
         sel0 = first.selector
-        gr0 = first.guardrail
         gate0 = first.safe_gate
         profiles = []
         for opt in opts:
@@ -363,12 +358,8 @@ class LockstepSessions:
                 == (sel0.min_observations, sel0.acquisition),
                 "selector min_observations and acquisition must be uniform",
             )
-            _require(
-                (opt.guardrail is None) == (gr0 is None),
-                "guardrails must be all absent or all present",
-            )
-            if opt.guardrail is not None:
-                g = opt.guardrail
+            g = opt.guardrail
+            if g is not None:
                 _require(
                     type(g) is Guardrail and not g.robust,
                     "lock-step supports non-robust Guardrail instances",
@@ -376,13 +367,6 @@ class LockstepSessions:
                 _require(
                     g.n_observations == 0 and g.active,
                     "lock-step requires fresh guardrails",
-                )
-                _require(
-                    (g.min_iterations, g.threshold, g.patience,
-                     g.fit_window, g.cooldown)
-                    == (gr0.min_iterations, gr0.threshold, gr0.patience,
-                        gr0.fit_window, gr0.cooldown),
-                    "guardrail parameters must be uniform",
                 )
             det = opt.switch_detector
             if det is not None:
@@ -421,11 +405,12 @@ class LockstepSessions:
             len({(p.degree, p.interaction_only) for p in profiles}) == 1,
             "polynomial expansion must be uniform",
         )
-        detectors = [o.switch_detector for o in opts if o.switch_detector is not None]
-        _require(
-            len({id(det) for det in detectors}) == len(detectors),
-            "each session needs its own TaskSwitchDetector instance",
-        )
+        for what in ("switch_detector", "guardrail"):
+            owned = [getattr(o, what) for o in opts if getattr(o, what) is not None]
+            _require(
+                len({id(obj) for obj in owned}) == len(owned),
+                f"each session needs its own {what} instance",
+            )
         if gate0 is not None:
             # Gate active ⟹ the selector is in its model branch: the gate
             # must never strip candidates while the selector would still be
@@ -446,7 +431,6 @@ class LockstepSessions:
             acquisition=sel0.acquisition,
             degree=profiles[0].degree,
             interaction_only=profiles[0].interaction_only,
-            guardrail=gr0,
             gate_min_obs=None if gate0 is None else gate0.min_observations,
         )
         return uniform, profiles
@@ -593,10 +577,7 @@ class LockstepSessions:
         #    (consuming no randomness); active sessions draw β-neighborhood
         #    candidates from their own RNGs and score them in one batch.
         vectors = np.empty((k_total, dim))
-        if self._grs is not None:
-            active = ~self._grs.disabled
-        else:
-            active = np.ones(k_total, dtype=bool)
+        active = ~self._disabled
         act = np.flatnonzero(active)
         n_default = k_total - act.size
         if n_default:
@@ -690,17 +671,14 @@ class LockstepSessions:
             not_fired = ~self._switch_step(t)
         else:
             not_fired = np.ones(k_total, dtype=bool)
-        if self._grs is not None:
-            active_after = self._guardrail_step(t, not_fired)
-            held = int(np.count_nonzero(~active_after & not_fired))
-            if held:
-                telemetry.counter(
-                    "centroid.updates_skipped", reason="guardrail"
-                ).inc(held)
-            updatable = np.flatnonzero(active_after & not_fired)
-        else:
-            active_after = np.ones(k_total, dtype=bool)
-            updatable = np.flatnonzero(not_fired)
+        self._guardrail_step(t, not_fired)
+        active_after = ~self._disabled
+        held = int(np.count_nonzero(self._disabled & not_fired))
+        if held:
+            telemetry.counter(
+                "centroid.updates_skipped", reason="guardrail"
+            ).inc(held)
+        updatable = np.flatnonzero(active_after & not_fired)
         self._active[:, t] = active_after
         n_wins = np.minimum(t + 1 - self._win_start[updatable], u.window_size)
         small = n_wins < u.min_update_obs
@@ -736,17 +714,13 @@ class LockstepSessions:
     def _re_anchor(self, k: int, t: int, decision) -> None:
         """:meth:`CentroidLearning._re_anchor` for session ``k``: a fresh
         window epoch seeded with the firing observation, the real guardrail
-        reset along with its SoA state, and the warm-started centroid."""
+        reset with a fresh history epoch, and the warm-started centroid."""
         opt = self._opts[k]
         self._win_start[k] = t
         self._model_version[k] = -1
         self._n_updates[k] = 0.0
-        if self._grs is not None:
+        if opt.guardrail is not None:
             opt.guardrail.reset()
-            gs = self._grs
-            gs.consecutive[k] = 0
-            gs.disabled[k] = False
-            gs.since_disable[k] = 0
             self._gr_start[k] = t + 1
         obs = Observation(
             config=self._vectors[k, t].copy(),
@@ -790,94 +764,48 @@ class LockstepSessions:
         self._ever_updated[upd] = True
         telemetry.counter("centroid.updates").inc(upd.size)
 
-    def _guardrail_step(self, t: int, eligible: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`Guardrail.update` sweep; returns the active mask.
+    def _guardrail_step(self, t: int, eligible: np.ndarray) -> None:
+        """Each guarded session's own :meth:`Guardrail.hold` or
+        :meth:`Guardrail.judge` for step ``t``; the trend solves are batched.
 
         ``eligible`` masks out sessions whose detector fired this step —
         the sequential path re-anchors and returns before ever calling
         ``guardrail.update``, so they take no cooldown tick and no check.
+        Sessions disabled at entry (even ones a hold re-enables) skip the
+        check, exactly like the sequential early return.  History lengths
+        are per-session (``min_iterations``, ``fit_window`` and re-anchored
+        ``_gr_start`` vary), so trends are solved one batch per fit-window
+        length, each a rectangular stack.
         """
-        g = self._u.guardrail
-        s = self._grs
-        was_disabled = s.disabled.copy()
-        dis = np.flatnonzero(was_disabled & eligible)
-        if dis.size and g.cooldown is not None:
-            s.since_disable[dis] += 1
-            telemetry.counter("guardrail.cooldown_holds").inc(dis.size)
-            ready = dis[s.since_disable[dis] >= g.cooldown]
-            if ready.size:
-                s.disabled[ready] = False
-                s.since_disable[ready] = 0
-                s.consecutive[ready] = 0
-                s.reenable_count[ready] += 1
-                telemetry.counter("guardrail.reenables").inc(ready.size)
-                for k in ready:
-                    telemetry.emit(
-                        "guardrail.reenable",
-                        iteration=t,
-                        reenable_count=int(s.reenable_count[k]),
-                    )
-        # Sessions disabled at entry (even ones re-enabled just above) skip
-        # the check this step, exactly like the sequential early return.
-        # History lengths are per-session once a task switch resets a
-        # guardrail (``_gr_start`` moves); group by fit-window length so
-        # each batched trend solve sees a rectangular stack.
-        n_obs = t + 1 - self._gr_start
-        chk_all = np.flatnonzero(
-            eligible & ~was_disabled & (n_obs >= g.min_iterations)
-        )
-        if chk_all.size:
-            w_all = np.minimum(n_obs[chk_all], g.fit_window)
-            for w in np.unique(w_all):
-                chk = chk_all[w_all == w]
-                w = int(w)
-                lo = t + 1 - w
-                X = np.empty((chk.size, w, 2))
-                X[:, :, 0] = np.arange(lo, t + 1, dtype=float)[None, :]
-                X[:, :, 1] = self._sizes[chk, lo : t + 1]
-                y = self._perfs[chk, lo : t + 1]
-                p_last = self._sizes[chk, t]
-                rows = np.empty((chk.size, 2, 2))
-                rows[:, 0, 0] = float(t) + 1.0
-                rows[:, 1, 0] = float(t)
-                rows[:, :, 1] = p_last[:, None]
-                preds = ols_predict(X, y, rows)
-                pred_next = preds[:, 0]
-                previous = np.minimum(self._perfs[chk, t], preds[:, 1])
-                violated = pred_next > previous * (1.0 + g.threshold)
-                for j, k in enumerate(chk):
-                    s.decisions[k].append(GuardrailDecision(
-                        iteration=t,
-                        predicted_next=float(pred_next[j]),
-                        previous=float(previous[j]),
-                        violated=bool(violated[j]),
-                    ))
-                telemetry.counter("guardrail.checks").inc(chk.size)
-                n_violated = int(np.count_nonzero(violated))
-                if n_violated:
-                    telemetry.counter(
-                        "guardrail.verdicts", verdict="violation"
-                    ).inc(n_violated)
-                if chk.size - n_violated:
-                    telemetry.counter("guardrail.verdicts", verdict="ok").inc(
-                        chk.size - n_violated
-                    )
-                s.consecutive[chk] = np.where(
-                    violated, s.consecutive[chk] + 1, 0
-                )
-                tripped = chk[violated & (s.consecutive[chk] >= g.patience)]
-                if tripped.size:
-                    s.disabled[tripped] = True
-                    telemetry.counter("guardrail.disables").inc(tripped.size)
-                    for j, k in enumerate(chk):
-                        if s.disabled[k] and not was_disabled[k]:
-                            telemetry.emit(
-                                "guardrail.disable",
-                                iteration=t,
-                                predicted_next=float(pred_next[j]),
-                                previous=float(previous[j]),
-                            )
-        return ~s.disabled
+        guardrails = self._guardrails
+        guarded = self._guarded
+        n_obs = t + 1 - self._gr_start[guarded]
+        live = eligible[guarded]
+        was_disabled = self._disabled[guarded]
+        for j in np.flatnonzero(live & was_disabled).tolist():
+            guardrails[j].hold(t)
+        due = np.flatnonzero(live & ~was_disabled & (n_obs >= self._gr_min))
+        w_due = np.minimum(n_obs[due], self._gr_window[due])
+        for w in np.unique(w_due):
+            pos = due[w_due == w]
+            chk = guarded[pos]
+            w = int(w)
+            lo = t + 1 - w
+            X = np.empty((chk.size, w, 2))
+            X[:, :, 0] = np.arange(lo, t + 1, dtype=float)[None, :]
+            X[:, :, 1] = self._sizes[chk, lo : t + 1]
+            y = self._perfs[chk, lo : t + 1]
+            rows = np.empty((chk.size, 2, 2))
+            rows[:, 0, 0] = float(t) + 1.0
+            rows[:, 1, 0] = float(t)
+            rows[:, :, 1] = self._sizes[chk, t][:, None]
+            preds = ols_predict(X, y, rows).tolist()
+            latest = self._perfs[chk, t].tolist()
+            for j, (pred_next, pred_current), last in zip(
+                pos.tolist(), preds, latest
+            ):
+                guardrails[j].judge(t, last, pred_next, pred_current)
+        self._disabled[guarded] = [not g.active for g in guardrails]
 
     # -- driving + results ---------------------------------------------------------
 
@@ -904,10 +832,8 @@ class LockstepSessions:
 
     @property
     def tuning_active(self) -> np.ndarray:
-        """Per-session guardrail-active mask (all True without guardrails)."""
-        if self._grs is None:
-            return np.ones(self.k, dtype=bool)
-        return ~self._grs.disabled.copy()
+        """Per-session guardrail-active mask (True for unguarded sessions)."""
+        return ~self._disabled
 
     def traces(self) -> List[TuningTrace]:
         """Materialize per-session :class:`TuningTrace` objects."""
@@ -1004,18 +930,14 @@ class LockstepSessions:
                     embedding=None,
                 )
                 append(obs)
+            # Guardrails judged themselves each step; only their history
+            # lives in the step buffers.
             guardrail = opt.guardrail
-            if guardrail is not None and self._grs is not None:
-                s = self._grs
+            if guardrail is not None:
                 g_lo = int(self._gr_start[k])
                 guardrail._iterations = iterations[g_lo:]
                 guardrail._data_sizes = self._sizes[k, g_lo:n].tolist()
                 guardrail._times = self._perfs[k, g_lo:n].tolist()
-                guardrail._consecutive_violations = int(s.consecutive[k])
-                guardrail._disabled = bool(s.disabled[k])
-                guardrail._since_disable = int(s.since_disable[k])
-                guardrail.reenable_count = int(s.reenable_count[k])
-                guardrail.decisions = list(s.decisions[k])
         self._synced_obs = n
 
 

@@ -16,7 +16,8 @@ axis:
   :class:`~repro.ml.scaler.Pipeline` objects.
 * :func:`ols_predict` — a deterministic ordinary-least-squares predictor
   (standardized normal equations) shared by the scalar
-  :class:`repro.core.guardrail.Guardrail` and its lock-step batch twin.
+  :class:`repro.core.guardrail.Guardrail` and the lock-step engine's
+  batched trend solve, whose results each session's own guardrail judges.
 
 **Bit-identity contract.**  Every batched operation here is implemented in a
 form whose per-slice results are bitwise identical to the scalar NumPy
@@ -183,7 +184,7 @@ def ols_predict(X: np.ndarray, y: np.ndarray, queries: np.ndarray) -> np.ndarray
     run through the *same* batched code path, so a scalar call is bitwise
     identical to the matching slice of a batched call — this is the solver
     shared by :class:`repro.core.guardrail.Guardrail` and the lock-step
-    guardrail arrays.
+    engine's batched guardrail trend solve.
 
     Degenerate (constant) feature columns get a zero coefficient: their
     centered values vanish from the Gram matrix, which is padded with an

@@ -164,14 +164,16 @@ def plan_arrays(plan: PhysicalPlan, data_scale: float = 1.0) -> PlanArrays:
     """Cached :class:`PlanArrays` for ``(plan, data_scale)``.
 
     Keyed by ``(plan.signature(), data_scale)`` plus the plan's absolute
-    leaf cardinality/bytes — the signature alone is shared by uniformly
-    scaled copies of the same query, which must not collide here.
+    leaf cardinality/bytes and :meth:`PhysicalPlan.content_hash` — the
+    signature alone is shared by uniformly scaled copies of the same query,
+    and the totals by copies scaled one bit apart; neither may collide here.
     """
     key = (
         plan.signature(),
         len(plan),
         float(plan.total_leaf_cardinality),
         float(plan.total_input_bytes),
+        plan.content_hash(),
         float(data_scale),
     )
     global _plan_arrays_hits, _plan_arrays_misses

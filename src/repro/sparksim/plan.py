@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -117,6 +117,7 @@ class PhysicalPlan:
         # the batch-evaluation pipeline).
         self._topo_ids: List[int] = []
         self._signature = ""
+        self._content_hash: Optional[int] = None
         self._leaf_ids: List[int] = [
             n for n in graph.nodes if graph.in_degree(n) == 0
         ]
@@ -225,6 +226,23 @@ class PhysicalPlan:
         self._signature = digest[:16]
         return self._signature
 
+    def content_hash(self) -> int:
+        """Hash of the exact operator contents, for caches keyed on them.
+
+        :meth:`signature` is invariant under scaling, and even leaf totals
+        are shared by copies scaled by factors one bit apart (``1.9`` and
+        ``1.9000000000000001`` on TPC-H q3) whose per-operator rows differ.
+        A :meth:`scaled` copy's contents are fixed by its source's and the
+        factor, so it hashes those two instead of walking its operators.
+        """
+        if self._content_hash is None:
+            self._content_hash = hash(tuple(
+                (op.op_id, op.op_type, op.est_rows_in, op.est_rows_out,
+                 op.row_bytes, op.children)
+                for op in self._ops.values()
+            ))
+        return self._content_hash
+
     def scaled(self, factor: float) -> "PhysicalPlan":
         """Return a copy with all cardinalities multiplied by ``factor``.
 
@@ -243,4 +261,6 @@ class PhysicalPlan:
             )
             for op in self._ops.values()
         ]
-        return PhysicalPlan(ops, name=self.name)
+        scaled = PhysicalPlan(ops, name=self.name)
+        scaled._content_hash = hash((self.content_hash(), factor))
+        return scaled

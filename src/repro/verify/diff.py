@@ -491,17 +491,20 @@ def diff_lockstep_sequential(
 
     The population is fig-15-shaped: customer workloads with per-query
     plans, heteroscedastic noise, drifting data sizes, ``variance``/``drift``
-    pathologies, a guardrail on every session, and every ``fault_every``-th
-    session's simulator wrapped in a :class:`FaultySimulator` scheduling
-    latency spikes.  Both engines build the population from the same seeds;
-    the trails compare, bitwise:
+    pathologies, per-session guardrails (odd sessions with ``cooldown=2``,
+    their own ``fit_window`` and ``patience``; every seventh session
+    unguarded), and every ``fault_every``-th session's simulator wrapped in
+    a :class:`FaultySimulator` scheduling latency spikes.  Both engines
+    build the population from the same seeds; the trails compare, bitwise:
 
     - per-iteration trace records across the fleet (config, observed/true
       seconds, data size, tuning-active flag) — the first divergent *step*
       names the iteration where lock-step left the sequential trajectory;
     - each optimizer's synced observation history (what downstream
       consumers — selectors, guardrails, replay — actually read);
-    - each guardrail's full decision trail and final active flag;
+    - each guardrail's full :meth:`~repro.core.guardrail.Guardrail.to_state`
+      (history, violation count, cooldown, decision trail, re-enable and
+      reset counts) and final active flag;
     - telemetry counters, minus ``sparksim.*`` (the batched estimator path
       legitimately counts one batch where sequential counts K calls).
 
@@ -521,10 +524,15 @@ def diff_lockstep_sequential(
     :class:`~repro.core.switch.SafeExplorationGate` to every session, with
     ``bound=0.5`` on odd sessions and ``0.25`` on even ones.
     """
-    guardrail_factory = lambda: Guardrail(
-        min_iterations=4, threshold=0.15, patience=2
-    )
     space = query_level_space()
+
+    def guardrail_for(q: int) -> Optional[Guardrail]:
+        if q % 7 == 6:
+            return None
+        if q % 2:
+            return Guardrail(min_iterations=4, threshold=0.15, patience=1,
+                             fit_window=5, cooldown=2)
+        return Guardrail(min_iterations=4, threshold=0.15, patience=2)
 
     def build_specs():
         population = generate_population(
@@ -533,10 +541,9 @@ def diff_lockstep_sequential(
         )
         specs = []
         for i, workload in enumerate(population):
-            for spec in workload_specs(
-                workload, seed * 7 + i, guardrail_factory=guardrail_factory
-            ):
+            for spec in workload_specs(workload, seed * 7 + i):
                 q = len(specs)
+                spec.optimizer.guardrail = guardrail_for(q)
                 if fault_every and q % fault_every == 0:
                     plan = FaultPlan(
                         [FaultSpec(FaultKind.LATENCY_SPIKE, at=(2, 7),
@@ -609,13 +616,9 @@ def diff_lockstep_sequential(
             })
         for spec in specs:
             guardrail = spec.optimizer.guardrail
-            steps.append({
-                "decisions": [
-                    (d.iteration, d.predicted_next, d.previous, d.violated)
-                    for d in guardrail.decisions
-                ],
+            steps.append({} if guardrail is None else {
+                "guardrail_state": guardrail.to_state(),
                 "guardrail_active": guardrail.active,
-                "guardrail_resets": guardrail.reset_count,
             })
         if switching:
             for spec in specs:

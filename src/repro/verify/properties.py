@@ -186,13 +186,11 @@ def lockstep_populations(draw, min_sessions: int = 1, max_sessions: int = 5):
 
     Per-session variation: TPC-H query shape and scale factor, Eq.-8 noise
     levels, simulator/optimizer seeds, ``alpha``/``alpha_decay``/``beta``,
-    an optional linear data-size drift, and an optional latency-spike
-    fault plan.  Guardrail presence and parameters are population-wide
-    (the engine requires them uniform).
+    an optional linear data-size drift, an optional latency-spike fault
+    plan, and guardrail presence and cooldown — so populations mix guarded
+    and unguarded sessions.
     """
     k = draw(st.integers(min_value=min_sessions, max_value=max_sessions))
-    guardrailed = draw(st.booleans())
-    cooldown = draw(st.sampled_from([None, 3])) if guardrailed else None
     sessions = []
     for _ in range(k):
         sessions.append({
@@ -210,6 +208,8 @@ def lockstep_populations(draw, min_sessions: int = 1, max_sessions: int = 5):
                 st.integers(min_value=0, max_value=12), max_size=3
             ))) if draw(st.booleans()) else (),
             "fault_magnitude": draw(st.floats(min_value=1.5, max_value=6.0)),
+            "guardrailed": draw(st.booleans()),
+            "cooldown": draw(st.sampled_from([None, 2, 3])),
         })
 
     def build():
@@ -229,8 +229,9 @@ def lockstep_populations(draw, min_sessions: int = 1, max_sessions: int = 5):
                     seed=s["sim_seed"],
                 ))
             guardrail = Guardrail(
-                min_iterations=4, threshold=0.15, patience=2, cooldown=cooldown
-            ) if guardrailed else None
+                min_iterations=4, threshold=0.15, patience=2,
+                cooldown=s["cooldown"],
+            ) if s["guardrailed"] else None
             optimizer = CentroidLearning(
                 space,
                 alpha=s["alpha"], alpha_decay=s["alpha_decay"], beta=s["beta"],

@@ -93,6 +93,31 @@ class TestGuardrailState:
         restored.restore_state(json.loads(json.dumps(g.to_state())))
         assert not restored.active
 
+    def test_round_trip_keeps_counts_and_decisions(self):
+        # A cooldown guardrail trips, sits out its cooldown, re-enables on
+        # probation and trips again; the snapshot carries the audit trail.
+        g = Guardrail(min_iterations=4, threshold=0.05, patience=1, cooldown=2)
+        for t in range(14):
+            g.update(Observation(config=np.array([1.0]), data_size=1.0,
+                                 performance=10.0 + 10.0 * t, iteration=t))
+        g.reset()
+        assert g.reenable_count >= 1 and len(g.decisions) >= 4
+        restored = Guardrail(min_iterations=4, threshold=0.05, patience=1,
+                             cooldown=2)
+        restored.restore_state(json.loads(json.dumps(g.to_state())))
+        assert restored.reenable_count == g.reenable_count
+        assert restored.reset_count == g.reset_count == 1
+        assert restored.decisions == g.decisions
+        assert restored.to_state() == g.to_state()
+
+    def test_old_snapshot_without_counts_still_loads(self):
+        g = Guardrail(min_iterations=4)
+        state = g.to_state()
+        for key in ("reenable_count", "reset_count", "decisions"):
+            del state[key]
+        restored = Guardrail(min_iterations=4).restore_state(state)
+        assert restored.reenable_count == 0 and restored.decisions == []
+
     def test_history_continues(self):
         g = Guardrail(min_iterations=10)
         for t in range(6):

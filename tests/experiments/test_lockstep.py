@@ -11,6 +11,7 @@ behavior.
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.centroid import CentroidLearning
 from repro.core.config_space import ConfigSpace, Parameter
 from repro.core.guardrail import Guardrail
@@ -63,6 +64,30 @@ def mixed_population():
             scale_fn=(lambda t: 1.0 + 0.05 * t) if k == 2 else None,
             observe_transform=(lambda t, obs: obs * 1.1) if k == 4 else None,
         ))
+    return specs
+
+
+MIXED_ITERATIONS = 16
+
+
+def mixed_guardrail_population():
+    """Guarded and unguarded sessions side by side, each guardrail with its
+    own parameters; a steady input climb trips most of them, and the
+    cooldown sessions re-enable on probation."""
+    specs = []
+    for k, spec in enumerate(mixed_population() + mixed_population()):
+        if k % 4 == 3:
+            spec.optimizer.guardrail = None
+        else:
+            spec.optimizer.guardrail = Guardrail(
+                min_iterations=3 + k % 3,
+                threshold=0.05 + 0.05 * (k % 2),
+                patience=1 + k % 2,
+                fit_window=3 + k % 4,
+                cooldown=(None, 2, 3)[k % 3],
+            )
+        spec.scale_fn = lambda t, _r=0.1 + 0.05 * (k % 3): 1.0 + _r * t
+        specs.append(spec)
     return specs
 
 
@@ -131,6 +156,22 @@ class TestBitIdentity:
                 assert (lock_opt.switch_detector.to_state()
                         == seq_opt.switch_detector.to_state())
 
+    def test_mixed_guardrail_fleet_matches_sequential(self):
+        lock_specs = mixed_guardrail_population()
+        lock_traces = LockstepSessions(lock_specs).run(MIXED_ITERATIONS)
+        seq_specs = mixed_guardrail_population()
+        assert_traces_equal(lock_traces, run_sequential(seq_specs, MIXED_ITERATIONS))
+        reenabled = 0
+        for lock_spec, seq_spec in zip(lock_specs, seq_specs):
+            lock_g, seq_g = lock_spec.optimizer.guardrail, seq_spec.optimizer.guardrail
+            if seq_g is None:
+                assert lock_g is None
+                continue
+            assert lock_g.to_state() == seq_g.to_state()  # counts and decisions too
+            reenabled += seq_g.reenable_count
+        # The population exercises the cooldown path, not only disables.
+        assert reenabled >= 1
+
     def test_high_dimensional_space_matches_sequential(self):
         # d = 14 > 12: the sign search is core's coordinate-wise one.
         space = ConfigSpace(list(full_space()) + [
@@ -192,11 +233,45 @@ class TestStateSync:
             assert np.array_equal(va, vb)
 
     def test_tuning_active_reflects_guardrail_state(self):
-        engine = LockstepSessions(mixed_population())
-        engine.advance(N_ITERATIONS)
-        active = engine.tuning_active
-        assert active.shape == (6,)
-        assert active.dtype == bool
+        specs = mixed_guardrail_population()
+        engine = LockstepSessions(specs)
+        seq_specs = mixed_guardrail_population()
+        seq_sessions = [spec.to_session() for spec in seq_specs]
+        seen_disabled = False
+        for _ in range(MIXED_ITERATIONS):
+            engine.advance(1)
+            for session in seq_sessions:
+                session.step()
+            active = engine.tuning_active
+            assert active.dtype == bool
+            own = [spec.optimizer.tuning_active for spec in specs]
+            assert active.tolist() == own
+            assert own == [spec.optimizer.tuning_active for spec in seq_specs]
+            seen_disabled = seen_disabled or not all(own)
+        assert seen_disabled
+
+    def test_guardrail_check_spans_match_sequential(self):
+        # Each guarded session's own judge()/hold() opens the same
+        # guardrail.check spans and emits the same guardrail events and
+        # counters as its sequential twin (sessions interleave differently,
+        # so the signals compare as multisets).
+        def signals(capture):
+            spans = sorted(repr(sorted(record.attributes.items())) for record in
+                           capture.spans.by_name("guardrail.check"))
+            events = sorted(repr((event.name, sorted(event.fields.items())))
+                            for event in capture.events.records
+                            if event.name.startswith("guardrail."))
+            counters = {key: value for key, value in capture.counters().items()
+                        if key.startswith("guardrail.")}
+            return spans, events, counters
+
+        with telemetry.capture() as cap_seq:
+            run_sequential(mixed_guardrail_population(), MIXED_ITERATIONS)
+        with telemetry.capture() as cap_lock:
+            LockstepSessions(mixed_guardrail_population()).run(MIXED_ITERATIONS)
+        spans, events, counters = signals(cap_seq)
+        assert spans and events and counters["guardrail.reenables"] >= 1
+        assert signals(cap_lock) == (spans, events, counters)
 
 
 class TestValidation:
@@ -219,11 +294,17 @@ class TestValidation:
         with pytest.raises(LockstepCompatibilityError, match="CentroidLearning"):
             LockstepSessions([spec])
 
-    def test_rejects_mixed_guardrail_presence(self):
+    def test_rejects_shared_guardrail_instance(self):
         specs = mixed_population()[:2]
-        specs[1].optimizer = CentroidLearning(query_level_space(), seed=1)
-        with pytest.raises(LockstepCompatibilityError, match="guardrail"):
+        specs[1].optimizer.guardrail = specs[0].optimizer.guardrail
+        with pytest.raises(LockstepCompatibilityError, match="own guardrail instance"):
             LockstepSessions(specs)
+
+    def test_rejects_robust_guardrail(self):
+        spec = mixed_population()[0]
+        spec.optimizer.guardrail = Guardrail(min_iterations=3, robust=True)
+        with pytest.raises(LockstepCompatibilityError, match="non-robust"):
+            LockstepSessions([spec])
 
     def test_rejects_nonuniform_window_size(self):
         specs = mixed_population()[:2]

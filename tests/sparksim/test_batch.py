@@ -18,6 +18,7 @@ from repro.faults.injectors import FaultySimulator
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.sparksim.batch import (
     ConfigColumns,
+    PlanArrays,
     clear_plan_arrays_cache,
     plan_arrays,
     plan_arrays_cache_stats,
@@ -196,13 +197,25 @@ class TestBatchStructures:
 
     def test_scaled_plan_and_scale_arg_share_entry(self):
         # plan.scaled(2) at scale 1 describes the same arrays as the base
-        # plan at scale 2 *only if* the key disambiguates on totals — the
-        # signature alone is scale-invariant.
+        # plan at scale 2 *only if* the key disambiguates on the plan's
+        # cardinalities — the signature alone is scale-invariant.
         plan = tpch_plan(6, 10.0)
         a = plan_arrays(plan, 2.0)
         b = plan_arrays(plan.scaled(2.0), 1.0)
         assert np.array_equal(a.rows_in, b.rows_in)
         assert np.array_equal(a.bytes_in, b.bytes_in)
+
+    def test_scales_one_bit_apart_do_not_share_entry(self):
+        # 1.9 and 1.9000000000000001 scale TPC-H q3 to equal leaf totals
+        # but per-operator rows that differ in the last bit; a key built
+        # from the totals handed the second plan the first one's arrays.
+        plan = tpch_plan(3)
+        low, high = plan.scaled(1.9), plan.scaled(1.9000000000000001)
+        assert low.total_leaf_cardinality == high.total_leaf_cardinality
+        assert low.total_input_bytes == high.total_input_bytes
+        clear_plan_arrays_cache()
+        for scaled in (low, high):
+            assert plan_arrays(scaled, 1.0) == PlanArrays.build(scaled, 1.0)
 
     def test_resolve_layouts_matches_from_config(self):
         space = full_space()

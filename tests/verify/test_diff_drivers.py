@@ -7,6 +7,7 @@ vectorized cost kernel must be caught by ``diff_scalar_batch`` at step 0.
 import numpy as np
 import pytest
 
+from repro.core.guardrail import Guardrail
 from repro.experiments.lockstep import LockstepSessions
 from repro.sparksim.cost_model import CostModel
 from repro.verify import run_all
@@ -60,6 +61,26 @@ class TestAllPathsAgree:
         assert report.equivalent, report.summary()
         assert report.tolerance == 0.0
         assert report.steps_compared >= 12 + 2 * 64  # steps + 2 rows/session
+
+    def test_lockstep_population_exercises_guardrail_cooldown(self, monkeypatch):
+        # Per-session guardrails: the cooldown sessions must actually sit out
+        # a disable and re-enable on probation, in both engines, or the
+        # parity above never covers that path.
+        reenables = []
+        hold = Guardrail.hold
+
+        def recording_hold(self, iteration):
+            before = self.reenable_count
+            active = hold(self, iteration)
+            if self.reenable_count > before:
+                reenables.append((self.cooldown, iteration))
+            return active
+
+        monkeypatch.setattr(Guardrail, "hold", recording_hold)
+        report = diff_lockstep_sequential(seed=0)
+        assert report.equivalent, report.summary()
+        assert reenables and {c for c, _ in reenables} == {2}
+        assert len(reenables) % 2 == 0  # the same re-enables in both engines
 
     def test_lockstep_sequential_bitwise_across_seeds(self):
         report = diff_lockstep_sequential(

@@ -236,7 +236,7 @@ def test_lockstep_k1_is_the_plain_tuning_session(build, n):
         o.performance for o in seq_opt.observations.history
     ]
     if lock_opt.guardrail is not None:
-        assert lock_opt.guardrail.decisions == seq_opt.guardrail.decisions
+        assert lock_opt.guardrail.to_state() == seq_opt.guardrail.to_state()
         assert lock_opt.guardrail.active == seq_opt.guardrail.active
 
 
